@@ -18,6 +18,20 @@ bool IsAlnumChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0;
 }
 
+// Calls fn(start, end) for every maximal alphanumeric run of `value` at
+// least `min_length` long: the one scanner behind both tokenizer forms.
+template <typename Fn>
+void ForEachAlnumRun(std::string_view value, std::size_t min_length,
+                     const Fn& fn) {
+  std::size_t i = 0;
+  while (i < value.size()) {
+    while (i < value.size() && !IsAlnumChar(value[i])) ++i;
+    std::size_t start = i;
+    while (i < value.size() && IsAlnumChar(value[i])) ++i;
+    if (i - start >= min_length) fn(start, i);
+  }
+}
+
 }  // namespace
 
 std::string ToLower(std::string_view s) {
@@ -88,19 +102,23 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 std::vector<std::string> TokenizeAlnum(std::string_view value,
                                        std::size_t min_length) {
   std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < value.size()) {
-    while (i < value.size() && !IsAlnumChar(value[i])) ++i;
-    std::size_t start = i;
-    while (i < value.size() && IsAlnumChar(value[i])) ++i;
-    if (i - start >= min_length) {
-      std::string token;
-      token.reserve(i - start);
-      for (std::size_t j = start; j < i; ++j) token += LowerChar(value[j]);
-      tokens.push_back(std::move(token));
-    }
-  }
+  ForEachAlnumRun(value, min_length, [&](std::size_t start, std::size_t end) {
+    std::string token;
+    token.reserve(end - start);
+    for (std::size_t j = start; j < end; ++j) token += LowerChar(value[j]);
+    tokens.push_back(std::move(token));
+  });
   return tokens;
+}
+
+void AppendAlnumTokens(std::string_view value, std::size_t min_length,
+                       std::string* chars, std::vector<std::uint32_t>* ends) {
+  ForEachAlnumRun(value, min_length, [&](std::size_t start, std::size_t end) {
+    for (std::size_t j = start; j < end; ++j) {
+      chars->push_back(LowerChar(value[j]));
+    }
+    ends->push_back(static_cast<std::uint32_t>(chars->size()));
+  });
 }
 
 namespace {

@@ -4,6 +4,7 @@
 #ifndef QUERYER_COMMON_STRING_UTIL_H_
 #define QUERYER_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,6 +43,13 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 /// `min_length` are dropped (single characters are usually noise).
 std::vector<std::string> TokenizeAlnum(std::string_view value,
                                        std::size_t min_length = 2);
+
+/// \brief TokenizeAlnum without a string per token: appends the tokens'
+/// lower-cased bytes to `chars` and each token's end offset in `chars` to
+/// `ends`, in order. A token starts where the previous one ended (or at
+/// the size `chars` had on entry).
+void AppendAlnumTokens(std::string_view value, std::size_t min_length,
+                       std::string* chars, std::vector<std::uint32_t>* ends);
 
 /// \brief SQL LIKE pattern match ('%' = any run, '_' = any one char).
 ///

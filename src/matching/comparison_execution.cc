@@ -1,6 +1,7 @@
 #include "matching/comparison_execution.h"
 
 #include "common/failpoint.h"
+#include "matching/comparison_kernel.h"
 
 namespace queryer {
 
@@ -13,6 +14,9 @@ Result<ComparisonExecStats> ExecuteComparisonsSequential(
   // The same site as the parallel chunk bodies: a sequential execution is
   // one chunk, so chaos specs behave uniformly across engine widths.
   QUERYER_FAILPOINT("er.comparison_chunk");
+  ComparisonKernel kernel(table, comparisons.data(),
+                          comparisons.data() + comparisons.size(), config,
+                          weights);
   ComparisonExecStats stats;
   std::size_t visited = 0;
   for (const auto& [a, b] : comparisons) {
@@ -25,9 +29,7 @@ Result<ComparisonExecStats> ExecuteComparisonsSequential(
       continue;
     }
     ++stats.executed;
-    double similarity =
-        ProfileSimilarity(table, a, b, config, weights);
-    if (similarity >= config.threshold) {
+    if (kernel.Similarity(a, b) >= config.threshold) {
       link_index->AddLink(a, b);
       ++stats.matches_found;
     }
@@ -80,7 +82,11 @@ Result<StagedComparisons> EvaluateComparisons(
         }
         // Pass 2, lock-free: evaluate the survivors and buffer the matches.
         // The cancel poll lives here because this pass is where a cold-LI
-        // resolution spends its seconds.
+        // resolution spends its seconds. The chunk owns its kernel, so the
+        // workers share nothing.
+        ComparisonKernel kernel(table, result.pending.data(),
+                                result.pending.data() + result.pending.size(),
+                                config, weights);
         std::size_t evaluated = 0;
         for (const auto& [a, b] : result.pending) {
           if (cancel != nullptr &&
@@ -88,9 +94,9 @@ Result<StagedComparisons> EvaluateComparisons(
             QUERYER_RETURN_NOT_OK(cancel->Check());
           }
           ++evaluated;
-          double similarity =
-              ProfileSimilarity(table, a, b, config, weights);
-          if (similarity >= config.threshold) result.matched.emplace_back(a, b);
+          if (kernel.Similarity(a, b) >= config.threshold) {
+            result.matched.emplace_back(a, b);
+          }
         }
         return Status::OK();
       });

@@ -9,8 +9,8 @@
 //     as shared when they are equal, when one is a single-letter
 //     abbreviation of the other ("e." ~ "entity", "j" ~ "jane"), or when
 //     their Jaro-Winkler similarity clears `token_match_threshold` (typos).
-//     Purely numeric values compare by equality (string distance between
-//     numbers is meaningless).
+//     Values that parse to finite numbers compare by equality (string
+//     distance between numbers is meaningless).
 //
 //  2. Whole-profile token cosine — cosine similarity over the token
 //     multiset of *all* attribute values, which catches duplicates whose
@@ -32,7 +32,6 @@
 #ifndef QUERYER_MATCHING_PROFILE_MATCHER_H_
 #define QUERYER_MATCHING_PROFILE_MATCHER_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -90,7 +89,9 @@ class AttributeWeights {
 /// Returns 1 when both are empty, 0 when exactly one is. Comparison is
 /// case-insensitive by construction (tokens are lower-cased, numeric
 /// parsing ignores case), so callers pass raw values — typically
-/// string_views straight out of a table's column dictionaries.
+/// string_views straight out of a table's column dictionaries. Only values
+/// that parse to finite numbers compare numerically; "nan" or "inf" go
+/// through token matching like any other word.
 double ValueSimilarity(std::string_view a, std::string_view b,
                        const MatchingConfig& config);
 
@@ -99,23 +100,16 @@ double ValueSimilarity(std::string_view a, std::string_view b,
 /// storage; attributes whose dictionary codes are equal short-circuit to
 /// similarity 1 without touching the strings. `weights` may be null
 /// (uniform attribute weights).
+///
+/// A one-pair entry point: it builds a ComparisonKernel
+/// (matching/comparison_kernel.h) for the single pair. Batches of pairs
+/// should build one kernel and call its Similarity instead.
 double ProfileSimilarity(const Table& table, EntityId a, EntityId b,
-                         const MatchingConfig& config,
-                         const AttributeWeights* weights = nullptr);
-
-/// \brief The same similarity over two ad-hoc value vectors (profiles not
-/// backed by a table).
-double ProfileSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b,
                          const MatchingConfig& config,
                          const AttributeWeights* weights = nullptr);
 
 /// \brief Convenience predicate: ProfileSimilarity >= config.threshold.
 bool ProfilesMatch(const Table& table, EntityId a, EntityId b,
-                   const MatchingConfig& config,
-                   const AttributeWeights* weights = nullptr);
-bool ProfilesMatch(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b,
                    const MatchingConfig& config,
                    const AttributeWeights* weights = nullptr);
 

@@ -103,6 +103,25 @@ TEST(ValueSimilarityTest, NumericValuesCompareByEquality) {
   EXPECT_DOUBLE_EQ(ValueSimilarity("7", "7.0", config), 1.0);
 }
 
+TEST(ValueSimilarityTest, NonFiniteNumbersAreWords) {
+  // strtod parses these, but only finite numbers compare numerically:
+  // identical strings must not score 0.
+  MatchingConfig config;
+  EXPECT_DOUBLE_EQ(ValueSimilarity("Nan", "Nan", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("nan", "NaN", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("inf", "INF", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("infinity", "Infinity", config), 1.0);
+  // "-inf" tokenizes to "inf": the same word, whatever the sign.
+  EXPECT_DOUBLE_EQ(ValueSimilarity("inf", "-inf", config), 1.0);
+  // A non-finite value against a number is a word against a number.
+  EXPECT_DOUBLE_EQ(ValueSimilarity("nan", "7", config), 0.0);
+  // Two different corrupted phone numbers that overflow to infinity are
+  // not the same number.
+  EXPECT_DOUBLE_EQ(ValueSimilarity("0472537e765", "049316e6219", config), 0.0);
+  // Finite numbers still compare by value.
+  EXPECT_DOUBLE_EQ(ValueSimilarity("1e3", "1000", config), 1.0);
+}
+
 TEST(ValueSimilarityTest, AbbreviationsMatch) {
   MatchingConfig config;
   // "Collective E.R." vs "Collective Entity Resolution": e->entity,
@@ -129,25 +148,33 @@ TEST(ValueSimilarityTest, TokenSwapsAreFree) {
       ValueSimilarity("davidson lisa", "lisa davidson", config), 1.0);
 }
 
+// A table of the given rows, for comparing rows 0 and 1.
+TablePtr TwoRowTable(const std::vector<std::string>& columns,
+                     const std::vector<std::string>& a,
+                     const std::vector<std::string>& b) {
+  TableBuilder builder("t", Schema(columns));
+  EXPECT_TRUE(builder.AddRow(a).ok());
+  EXPECT_TRUE(builder.AddRow(b).ok());
+  return builder.Build();
+}
+
 TEST(ProfileSimilarityTest, SkipsMissingValues) {
-  std::vector<std::string> a = {"id1", "Collective Entity Resolution", "",
-                                "EDBT"};
-  std::vector<std::string> b = {"id2", "Collective Entity Resolution",
-                                "Allan Blake", "EDBT"};
+  TablePtr t = TwoRowTable(
+      {"id", "title", "authors", "venue"},
+      {"id1", "Collective Entity Resolution", "", "EDBT"},
+      {"id2", "Collective Entity Resolution", "Allan Blake", "EDBT"});
   // Attribute 2 is skipped (empty on one side); the rest are identical.
-  EXPECT_DOUBLE_EQ(ProfileSimilarity(a, b, TestConfig()), 1.0);
+  EXPECT_DOUBLE_EQ(ProfileSimilarity(*t, 0, 1, TestConfig()), 1.0);
 }
 
 TEST(ProfileSimilarityTest, CaseInsensitive) {
-  std::vector<std::string> a = {"x", "EDBT"};
-  std::vector<std::string> b = {"x", "edbt"};
-  EXPECT_DOUBLE_EQ(ProfileSimilarity(a, b, TestConfig()), 1.0);
+  TablePtr t = TwoRowTable({"id", "venue"}, {"x", "EDBT"}, {"x", "edbt"});
+  EXPECT_DOUBLE_EQ(ProfileSimilarity(*t, 0, 1, TestConfig()), 1.0);
 }
 
 TEST(ProfileSimilarityTest, AllMissingIsZero) {
-  std::vector<std::string> a = {"x", "", ""};
-  std::vector<std::string> b = {"x", "", "y"};
-  EXPECT_DOUBLE_EQ(ProfileSimilarity(a, b, TestConfig()), 0.0);
+  TablePtr t = TwoRowTable({"id", "a", "b"}, {"x", "", ""}, {"x", "", "y"});
+  EXPECT_DOUBLE_EQ(ProfileSimilarity(*t, 0, 1, TestConfig()), 0.0);
 }
 
 TEST(ProfileSimilarityTest, CrossAttributeContentViaCosine) {
