@@ -154,6 +154,35 @@ void BM_MetaBlocking(benchmark::State& state) {
 }
 BENCHMARK(BM_MetaBlocking);
 
+// The cold query's shape: Block-Join plus the whole meta-blocking funnel of
+// a 0.5% DEDUP slice (MOD(row, 200) = arg) of a 3,344-row DSD table, the
+// selection BM_ComparisonKernel evaluates.
+void BM_MetaBlockingColdSlice(benchmark::State& state) {
+  auto dsd = datagen::MakeDsdLike(3344, 3);
+  BlockingOptions options;
+  options.excluded_attributes = {0};
+  auto tbi = TableBlockIndex::Build(*dsd.table, options);
+  std::vector<EntityId> selection;
+  for (EntityId e = static_cast<EntityId>(state.range(0));
+       e < dsd.table->num_rows(); e += 200) {
+    selection.push_back(e);
+  }
+  std::size_t pairs = 0;
+  for (auto _ : state) {
+    QueryBlockIndex qbi =
+        QueryBlockIndex::Build(*dsd.table, selection, options);
+    MetaBlockingResult result =
+        RunMetaBlocking(BlockJoin(qbi, *tbi), MetaBlockingConfig::All());
+    pairs = result.comparisons_before_pruning;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["pairs_before_pruning"] = static_cast<double>(pairs);
+}
+BENCHMARK(BM_MetaBlockingColdSlice)
+    ->Arg(0)
+    ->Arg(7)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_LinkIndexAddFind(benchmark::State& state) {
   for (auto _ : state) {
     LinkIndex li(10000);
@@ -183,7 +212,7 @@ void BM_ComparisonExecution(benchmark::State& state) {
   BlockCollection blocks;
   for (std::size_t b = 0; b < tbi->num_blocks(); ++b) {
     Block block;
-    block.key = tbi->block_key(b);
+    block.key = static_cast<std::uint32_t>(b);
     block.entities = tbi->block_entities(b);
     block.query_entities = block.entities;
     blocks.push_back(std::move(block));

@@ -17,18 +17,16 @@ Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
   blocks.reserve(tbi.num_blocks());
   for (std::size_t b = 0; b < tbi.num_blocks(); ++b) {
     Block block;
-    block.key = tbi.block_key(b);
+    block.key = static_cast<std::uint32_t>(b);
     block.entities = tbi.block_entities(b);
     block.query_entities = block.entities;
     blocks.push_back(std::move(block));
   }
   double block_seconds = watch.ElapsedSeconds();
 
-  watch.Restart();
   MetaBlockingResult refined =
       RunMetaBlocking(std::move(blocks), runtime->meta_blocking_config(),
                       runtime->thread_pool());
-  double meta_seconds = watch.ElapsedSeconds();
 
   watch.Restart();
   QUERYER_ASSIGN_OR_RETURN(
@@ -50,8 +48,12 @@ Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
     stats->comparisons_skipped_linked += exec.skipped_linked;
     stats->matches_found += exec.matches_found;
     stats->blocking_seconds += block_seconds;
-    // Batch ER has no Block-Join; the meta-blocking bucket covers BP/BF/EP.
-    stats->edge_pruning_seconds += meta_seconds;
+    stats->purging_seconds += refined.purging_seconds;
+    stats->filtering_seconds += refined.filtering_seconds;
+    stats->edge_pruning_seconds += refined.edge_pruning_seconds;
+    stats->blocks_after_purging += refined.blocks_after_purging;
+    stats->blocks_after_filtering += refined.blocks_after_filtering;
+    stats->comparisons_before_pruning += refined.comparisons_before_pruning;
     stats->resolution_seconds += resolution_seconds;
     stats->comparisons_after_metablocking += refined.comparisons.size();
     if (stats->collect_comparisons) {

@@ -4,12 +4,12 @@
 // Blocking). A BlockCollection is the working set the Deduplicate operator's
 // pipeline transforms: Block-Join produces it, Block Purging / Block
 // Filtering / Edge Pruning shrink it, Comparison-Execution consumes it.
+// Blocks name their key by its TableBlockIndex id, never by the string.
 
 #ifndef QUERYER_BLOCKING_BLOCK_H_
 #define QUERYER_BLOCKING_BLOCK_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "storage/table.h"
@@ -21,9 +21,13 @@ namespace queryer {
 /// `query_entities` is the subset of `entities` that belongs to the query's
 /// selection QE_E. Comparison-Execution only executes comparisons with at
 /// least one query-entity endpoint (paper Sec. 6.1(iv)), so the distinction
-/// is carried through the whole pipeline.
+/// is carried through the whole pipeline. Meta-blocking assumes what every
+/// producer guarantees: a block lists each entity once, and an entity is a
+/// query entity in every block that holds it or in none.
 struct Block {
-  std::string key;
+  /// The key's block id in the table's TableBlockIndex (key order);
+  /// `tbi.block_key(key)` spells it.
+  std::uint32_t key = 0;
   std::vector<EntityId> entities;
   std::vector<EntityId> query_entities;
 

@@ -1,23 +1,37 @@
 #include "blocking/block_join.h"
 
+#include <cstdint>
+
 namespace queryer {
 
 BlockCollection BlockJoin(const QueryBlockIndex& qbi,
-                          const TableBlockIndex& tbi, BlockJoinStats* stats) {
-  BlockCollection enriched;
-  enriched.reserve(qbi.num_blocks());
-  for (const auto& [key, query_entities] : qbi.blocks()) {
-    std::int64_t block_id = tbi.FindBlock(key);
-    if (block_id < 0) continue;
-    Block block;
-    block.key = key;
-    block.entities = tbi.block_entities(static_cast<std::size_t>(block_id));
-    block.query_entities = query_entities;
-    enriched.push_back(std::move(block));
+                          const TableBlockIndex& tbi) {
+  // A counting sort of the query entities' ITBI memberships by block id:
+  // blocks come out in id order — key order — and each block lists its
+  // query entities in selection order.
+  const std::vector<EntityId>& query_entities = qbi.query_entities();
+  std::vector<std::size_t> start(tbi.num_blocks() + 1, 0);
+  for (EntityId e : query_entities) {
+    for (std::uint32_t block : tbi.entity_blocks(e)) ++start[block + 1];
   }
-  if (stats != nullptr) {
-    stats->qbi_blocks = qbi.num_blocks();
-    stats->matched_blocks = enriched.size();
+  for (std::size_t b = 0; b < tbi.num_blocks(); ++b) start[b + 1] += start[b];
+  std::vector<EntityId> members(start.back());
+  std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+  for (EntityId e : query_entities) {
+    for (std::uint32_t block : tbi.entity_blocks(e)) {
+      members[cursor[block]++] = e;
+    }
+  }
+
+  BlockCollection enriched;
+  for (std::uint32_t b = 0; b < tbi.num_blocks(); ++b) {
+    if (start[b] == start[b + 1]) continue;
+    Block block;
+    block.key = b;
+    block.entities = tbi.block_entities(b);
+    block.query_entities.assign(members.begin() + start[b],
+                                members.begin() + start[b + 1]);
+    enriched.push_back(std::move(block));
   }
   return enriched;
 }

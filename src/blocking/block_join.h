@@ -1,11 +1,17 @@
-// Block-Join (paper Sec. 6.1(ii)): hash-join between the keys of a
-// QueryBlockIndex and a TableBlockIndex.
+// Block-Join (paper Sec. 6.1(ii)): joins the query's blocking keys with a
+// TableBlockIndex.
 //
-// For every query-side blocking key that also exists in the table's TBI, the
-// resulting block contains the full TBI entity set for that key (which is a
-// superset of the query entities holding it). The output EQBI_QE is the
-// enriched block collection over which Meta-Blocking and
-// Comparison-Execution run.
+// For every query-side blocking key that also indexes a TBI block, the
+// resulting block contains the full TBI entity set for that key (a superset
+// of the query entities holding it). The output EQBI_QE is the enriched
+// block collection over which Meta-Blocking and Comparison-Execution run.
+//
+// The join runs on integer ids: it inverts the ITBI entries of the query
+// entities. A query entity's ITBI entry is exactly its set of keys that
+// index a multi-entity block (see QueryBlockIndex), and TBI block ids follow
+// key order, so the result equals a string join of tokenized query keys
+// against the TBI: the same blocks, in key order, each with its query
+// entities in selection order.
 
 #ifndef QUERYER_BLOCKING_BLOCK_JOIN_H_
 #define QUERYER_BLOCKING_BLOCK_JOIN_H_
@@ -15,18 +21,11 @@
 
 namespace queryer {
 
-/// \brief Statistics of one Block-Join invocation.
-struct BlockJoinStats {
-  std::size_t qbi_blocks = 0;
-  std::size_t matched_blocks = 0;
-};
-
-/// \brief Enriches query blocks with the table-side entities sharing each
-/// key. Keys absent from the TBI produce no block (a singleton query block
-/// with no table-side sharers cannot contribute comparisons).
+/// \brief Enriches the query's blocks with the table-side entities sharing
+/// each key. Keys no other row holds produce no block (a singleton query
+/// block with no table-side sharers cannot contribute comparisons).
 BlockCollection BlockJoin(const QueryBlockIndex& qbi,
-                          const TableBlockIndex& tbi,
-                          BlockJoinStats* stats = nullptr);
+                          const TableBlockIndex& tbi);
 
 }  // namespace queryer
 

@@ -147,20 +147,11 @@ std::size_t TableBlockIndex::MemoryFootprint() const {
   return bytes;
 }
 
-QueryBlockIndex QueryBlockIndex::Build(const Table& table,
-                                       const std::vector<EntityId>& query_entities,
-                                       const BlockingOptions& options) {
-  std::map<std::string, std::vector<EntityId>> buckets;
-  for (EntityId e : query_entities) {
-    for (auto& key : EntityBlockingKeys(table, e, options)) {
-      buckets[std::move(key)].push_back(e);
-    }
-  }
+QueryBlockIndex QueryBlockIndex::Build(
+    const Table& /*table*/, const std::vector<EntityId>& query_entities,
+    const BlockingOptions& /*options*/) {
   QueryBlockIndex qbi;
-  qbi.blocks_.reserve(buckets.size());
-  for (auto& [key, entities] : buckets) {
-    qbi.blocks_.emplace_back(key, std::move(entities));
-  }
+  qbi.query_entities_ = query_entities;
   return qbi;
 }
 

@@ -6,8 +6,8 @@
 // TableBlockIndex (TBI_E) maps key -> entities for a whole table; its
 // inverse (ITBI_E) maps entity -> blocks, sorted ascending by block size
 // (the order Block Filtering and the cost estimator rely on). A
-// QueryBlockIndex (QBI_QE) is the same structure built on-the-fly for the
-// entities a query selects.
+// QueryBlockIndex (QBI_QE) is the same structure for the entities a query
+// selects; Block-Join reads it off the ITBI instead of re-tokenizing.
 
 #ifndef QUERYER_BLOCKING_TOKEN_BLOCKING_H_
 #define QUERYER_BLOCKING_TOKEN_BLOCKING_H_
@@ -109,28 +109,31 @@ class TableBlockIndex {
 std::vector<std::string> EntityBlockingKeys(const Table& table, EntityId entity,
                                             const BlockingOptions& options);
 
-/// \brief The Query Block Index QBI_QE: key -> query entities.
+/// \brief The Query Block Index QBI_QE: the query entities whose blocks
+/// Block-Join reads from the table's inverse index.
 ///
-/// Unlike the TBI, singleton blocks are retained: a query entity alone in a
-/// query-side block may still join with table-side entities via Block-Join.
+/// Token Blocking is a function of an entity's own values, and the TBI
+/// applies it to every row. So a query entity's keys that index a
+/// multi-entity block are exactly the blocks of its ITBI entry, and the keys
+/// that do not are held by that entity alone: they can never meet a
+/// table-side entity. The QBI therefore keeps the query entities only and
+/// `BlockJoin` inverts `tbi.entity_blocks(e)` over them; nothing is
+/// tokenized per query.
 class QueryBlockIndex {
  public:
-  /// Builds blocks over the given query entities using the same blocking
-  /// function as the table's TBI.
+  /// Builds the QBI over `query_entities` (in the given order, duplicates
+  /// kept). `table` and `options` must be those the TBI it is joined with
+  /// was built from — the engine owns one BlockingOptions per table.
   static QueryBlockIndex Build(const Table& table,
                                const std::vector<EntityId>& query_entities,
                                const BlockingOptions& options);
 
-  std::size_t num_blocks() const { return blocks_.size(); }
-
-  /// key -> query entities holding it; deterministic (key-sorted) order.
-  const std::vector<std::pair<std::string, std::vector<EntityId>>>& blocks()
-      const {
-    return blocks_;
+  const std::vector<EntityId>& query_entities() const {
+    return query_entities_;
   }
 
  private:
-  std::vector<std::pair<std::string, std::vector<EntityId>>> blocks_;
+  std::vector<EntityId> query_entities_;
 };
 
 }  // namespace queryer

@@ -8,7 +8,6 @@
 
 namespace queryer {
 
-
 std::vector<Comparison> Deduplicator::BuildComparisons(
     const std::vector<EntityId>& unresolved) {
   // (i) Query Blocking: build the QBI with the table's blocking function.
@@ -32,35 +31,16 @@ std::vector<Comparison> Deduplicator::BuildComparisons(
   stats_->block_join_seconds += watch.ElapsedSeconds();
   stats_->blocks_after_join += enriched.size();
 
-  // (iii) Meta-Blocking: BP -> BF -> EP per the table's configuration. The
-  // pool parallelizes the size statistics and the edge weighting; answers
-  // are identical at every thread count.
-  const MetaBlockingConfig& config = runtime_->meta_blocking_config();
-  BlockCollection refined = std::move(enriched);
-  if (config.block_purging) {
-    watch.Restart();
-    TraceSpan span(trace_, "purging", "er");
-    refined = BlockPurging(std::move(refined), config.purging_outlier_factor,
-                           pool_);
-    stats_->purging_seconds += watch.ElapsedSeconds();
-  }
-  if (config.block_filtering) {
-    watch.Restart();
-    TraceSpan span(trace_, "filtering", "er");
-    refined = BlockFiltering(refined, config.filtering_ratio, pool_);
-    stats_->filtering_seconds += watch.ElapsedSeconds();
-  }
-  std::vector<Comparison> comparisons;
-  {
-    TraceSpan span(trace_, "edge-pruning", "er");
-    watch.Restart();
-    if (config.edge_pruning) {
-      comparisons = EdgePruning(refined, config.edge_weighting, pool_);
-    } else {
-      comparisons = DistinctComparisons(refined);
-    }
-    stats_->edge_pruning_seconds += watch.ElapsedSeconds();
-  }
+  // (iii) Meta-Blocking: BP -> BF -> EP per the table's configuration.
+  MetaBlockingResult refined = RunMetaBlocking(
+      std::move(enriched), runtime_->meta_blocking_config(), pool_, trace_);
+  stats_->purging_seconds += refined.purging_seconds;
+  stats_->filtering_seconds += refined.filtering_seconds;
+  stats_->edge_pruning_seconds += refined.edge_pruning_seconds;
+  stats_->blocks_after_purging += refined.blocks_after_purging;
+  stats_->blocks_after_filtering += refined.blocks_after_filtering;
+  stats_->comparisons_before_pruning += refined.comparisons_before_pruning;
+  std::vector<Comparison> comparisons = std::move(refined.comparisons);
   stats_->comparisons_after_metablocking += comparisons.size();
   if (stats_->collect_comparisons) {
     stats_->collected_comparisons.insert(stats_->collected_comparisons.end(),

@@ -21,6 +21,9 @@ void ExecStats::Accumulate(const ExecStats& other) {
   entities_already_resolved += other.entities_already_resolved;
   entities_claimed_elsewhere += other.entities_claimed_elsewhere;
   blocks_after_join += other.blocks_after_join;
+  blocks_after_purging += other.blocks_after_purging;
+  blocks_after_filtering += other.blocks_after_filtering;
+  comparisons_before_pruning += other.comparisons_before_pruning;
   comparisons_after_metablocking += other.comparisons_after_metablocking;
   morsels_scanned += other.morsels_scanned;
   probe_morsels += other.probe_morsels;

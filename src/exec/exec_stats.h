@@ -30,6 +30,10 @@ struct ExecStats {
   /// its selection (this query waited for them instead of re-resolving).
   std::size_t entities_claimed_elsewhere = 0;
   std::size_t blocks_after_join = 0;     // |EQBI|.
+  std::size_t blocks_after_purging = 0;
+  std::size_t blocks_after_filtering = 0;
+  /// Distinct query-relevant pairs entering Edge Pruning.
+  std::size_t comparisons_before_pruning = 0;
   std::size_t comparisons_after_metablocking = 0;
 
   // Batch pipeline counters.

@@ -2,57 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <numeric>
+#include <vector>
 
 namespace queryer {
 
-BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio,
-                               ThreadPool* pool) {
+BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio) {
   if (ratio >= 1.0) return blocks;
-  // entity -> indices of its blocks, to be sorted ascending by block size.
-  std::unordered_map<EntityId, std::vector<std::uint32_t>> entity_blocks;
+  // A block's rank: size first, block order on ties. Ranks are distinct, so
+  // an entity's ceil(p * n) smallest blocks are exactly those ranked at or
+  // below the ceil(p * n)-th smallest rank among its blocks — its cut-off.
+  std::vector<std::uint64_t> rank(blocks.size());
+  std::size_t num_entities = 0;
   for (std::uint32_t i = 0; i < blocks.size(); ++i) {
-    for (EntityId e : blocks[i].entities) entity_blocks[e].push_back(i);
+    rank[i] = (static_cast<std::uint64_t>(blocks[i].size()) << 32) | i;
+    for (EntityId e : blocks[i].entities) {
+      num_entities = std::max<std::size_t>(num_entities, e + std::size_t{1});
+    }
   }
-
-  // The per-entity size statistics — sort each entity's block list and cut
-  // it to the first ceil(p * n) smallest — are independent, so they chunk
-  // onto the pool. Each body writes only to its own entities' lists; the
-  // shared `retained` sets are filled sequentially afterwards.
-  std::vector<std::vector<std::uint32_t>*> entity_lists;
-  entity_lists.reserve(entity_blocks.size());
-  for (auto& [entity, block_ids] : entity_blocks) {
-    (void)entity;
-    entity_lists.push_back(&block_ids);
+  // keep[e]: first e's block count, then how many blocks it keeps.
+  std::vector<std::uint32_t> keep(num_entities, 0);
+  for (const Block& b : blocks) {
+    for (EntityId e : b.entities) ++keep[e];
   }
-  Status status = ParallelFor(
-      pool, entity_lists.size(),
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          std::vector<std::uint32_t>& block_ids = *entity_lists[i];
-          std::sort(block_ids.begin(), block_ids.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      return blocks[a].size() != blocks[b].size()
-                                 ? blocks[a].size() < blocks[b].size()
-                                 : a < b;
-                    });
-          auto keep = static_cast<std::size_t>(
-              std::ceil(ratio * static_cast<double>(block_ids.size())));
-          if (keep == 0) keep = 1;
-          if (keep > block_ids.size()) keep = block_ids.size();
-          block_ids.resize(keep);
-        }
-        return Status::OK();
-      });
-  // Bodies only fail by throwing; rethrow on the calling thread.
-  if (!status.ok()) throw std::runtime_error(status.ToString());
-
-  // (entity, block) pairs that survive:
-  std::vector<std::unordered_set<EntityId>> retained(blocks.size());
-  for (const auto& [entity, block_ids] : entity_blocks) {
-    for (std::uint32_t block : block_ids) retained[block].insert(entity);
+  for (std::uint32_t& k : keep) {
+    if (k == 0) continue;
+    auto kept = static_cast<std::uint32_t>(
+        std::ceil(ratio * static_cast<double>(k)));
+    k = std::clamp<std::uint32_t>(kept, 1, k);
+  }
+  // Visiting blocks in rank order, an entity's cut-off is the block where
+  // its keep count runs out.
+  std::vector<std::uint32_t> by_rank(blocks.size());
+  std::iota(by_rank.begin(), by_rank.end(), 0);
+  std::sort(by_rank.begin(), by_rank.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return rank[a] < rank[b];
+            });
+  std::vector<std::uint64_t> cutoff(num_entities, 0);
+  for (std::uint32_t i : by_rank) {
+    for (EntityId e : blocks[i].entities) {
+      if (keep[e] > 0 && --keep[e] == 0) cutoff[e] = rank[i];
+    }
   }
 
   BlockCollection filtered;
@@ -61,11 +53,13 @@ BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio,
     const Block& src = blocks[i];
     Block out;
     out.key = src.key;
+    out.entities.reserve(src.entities.size());
+    out.query_entities.reserve(src.query_entities.size());
     for (EntityId e : src.entities) {
-      if (retained[i].count(e) > 0) out.entities.push_back(e);
+      if (rank[i] <= cutoff[e]) out.entities.push_back(e);
     }
     for (EntityId e : src.query_entities) {
-      if (retained[i].count(e) > 0) out.query_entities.push_back(e);
+      if (rank[i] <= cutoff[e]) out.query_entities.push_back(e);
     }
     if (out.entities.size() < 2 || out.query_entities.empty()) continue;
     filtered.push_back(std::move(out));

@@ -7,7 +7,6 @@
 #define QUERYER_METABLOCKING_BLOCK_FILTERING_H_
 
 #include "blocking/block.h"
-#include "parallel/thread_pool.h"
 
 namespace queryer {
 
@@ -22,12 +21,10 @@ inline constexpr double kDefaultBlockFilteringRatio = 0.8;
 /// up with fewer than two entities, or with no query entity, are dropped —
 /// they can no longer produce a query comparison.
 ///
-/// The per-entity size statistics (sort by block size + retention cut) are
-/// independent across entities and run chunked on `pool` when it has more
-/// than one worker; each entity's verdict depends only on its own block
-/// list, so the result is identical at every thread count.
-BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio,
-                               ThreadPool* pool = nullptr);
+/// Runs on dense per-entity counters: one pass over the blocks in
+/// (size, block order) finds each entity's cut-off block, and the rebuild
+/// tests each membership against that one number per entity.
+BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio);
 
 }  // namespace queryer
 

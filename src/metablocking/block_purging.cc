@@ -1,7 +1,6 @@
 #include "metablocking/block_purging.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 namespace queryer {
@@ -21,25 +20,10 @@ double ThresholdFromSizeSum(double total_size, std::size_t num_blocks,
 }  // namespace
 
 double ComputePurgingThreshold(const BlockCollection& blocks,
-                               double outlier_factor, ThreadPool* pool) {
-  // Parallel sum reduction over the block sizes: per-chunk partial sums
-  // merged in chunk order. Sizes are integers, so the double sum is exact
-  // and thread-count independent.
-  std::vector<ChunkRange> chunks =
-      SplitRange(blocks.size(), pool == nullptr ? 1 : pool->num_threads());
-  std::vector<double> partials(chunks.size(), 0.0);
-  Status status = ParallelFor(
-      pool, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        double sum = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          sum += static_cast<double>(blocks[i].size());
-        }
-        partials[chunk] = sum;
-        return Status::OK();
-      });
-  if (!status.ok()) throw std::runtime_error(status.ToString());
+                               double outlier_factor) {
+  // Sizes are integers, so the double sum is exact in any order.
   double total = 0;
-  for (double partial : partials) total += partial;
+  for (const Block& b : blocks) total += static_cast<double>(b.size());
   return ThresholdFromSizeSum(total, blocks.size(), outlier_factor);
 }
 
@@ -59,9 +43,8 @@ BlockCollection PurgeBlocks(BlockCollection blocks, double threshold) {
   return kept;
 }
 
-BlockCollection BlockPurging(BlockCollection blocks, double outlier_factor,
-                             ThreadPool* pool) {
-  double threshold = ComputePurgingThreshold(blocks, outlier_factor, pool);
+BlockCollection BlockPurging(BlockCollection blocks, double outlier_factor) {
+  double threshold = ComputePurgingThreshold(blocks, outlier_factor);
   return PurgeBlocks(std::move(blocks), threshold);
 }
 

@@ -17,7 +17,6 @@
 #define QUERYER_METABLOCKING_BLOCK_PURGING_H_
 
 #include "blocking/block.h"
-#include "parallel/thread_pool.h"
 
 namespace queryer {
 
@@ -29,13 +28,8 @@ inline constexpr double kDefaultPurgingOutlierFactor = 3.0;
 inline constexpr std::size_t kMinKeptBlockSize = 4;
 
 /// \brief Computes the maximum allowed block cardinality ||b||.
-///
-/// The size statistic is a parallel sum reduction with a multi-worker
-/// `pool` (chunked partial sums merged in chunk order; sizes are integers,
-/// so the sum is exact and identical at every thread count).
 double ComputePurgingThreshold(const BlockCollection& blocks,
-                               double outlier_factor = kDefaultPurgingOutlierFactor,
-                               ThreadPool* pool = nullptr);
+                               double outlier_factor = kDefaultPurgingOutlierFactor);
 
 /// \brief Same rule over bare block sizes (|b| values), without needing
 /// materialized blocks. Used by the planner's comparison estimator.
@@ -47,8 +41,7 @@ BlockCollection PurgeBlocks(BlockCollection blocks, double threshold);
 
 /// \brief Convenience: threshold computation + purge in one step.
 BlockCollection BlockPurging(BlockCollection blocks,
-                             double outlier_factor = kDefaultPurgingOutlierFactor,
-                             ThreadPool* pool = nullptr);
+                             double outlier_factor = kDefaultPurgingOutlierFactor);
 
 }  // namespace queryer
 

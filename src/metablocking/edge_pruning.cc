@@ -1,116 +1,179 @@
 #include "metablocking/edge_pruning.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace queryer {
 
 namespace {
 
-inline std::uint64_t PairKey(EntityId a, EntityId b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-inline Comparison MakeComparison(EntityId a, EntityId b) {
-  return a < b ? Comparison{a, b} : Comparison{b, a};
-}
-
-// Enumerates each query-relevant pair of blocks [begin, end) exactly once
-// per block, invoking fn(pair, block_index).
-template <typename Fn>
-void ForEachQueryPairInRange(const BlockCollection& blocks, std::size_t begin,
-                             std::size_t end, Fn&& fn) {
-  std::unordered_set<EntityId> query_set;
-  for (std::size_t bi = begin; bi < end; ++bi) {
-    const Block& b = blocks[bi];
-    query_set.clear();
-    query_set.insert(b.query_entities.begin(), b.query_entities.end());
-    // Query entity x everything after it (counts q-q pairs once); plus
-    // query entity x preceding non-query entities.
-    for (std::size_t i = 0; i < b.entities.size(); ++i) {
-      EntityId ei = b.entities[i];
-      bool ei_query = query_set.count(ei) > 0;
-      for (std::size_t j = i + 1; j < b.entities.size(); ++j) {
-        EntityId ej = b.entities[j];
-        if (!ei_query && query_set.count(ej) == 0) continue;
-        fn(MakeComparison(ei, ej), bi);
+// The inverse of a block collection as dense arrays (CSR): for every
+// entity id up to the largest one the collection holds, the positions of
+// the blocks that contain it, ascending.
+class EntityBlockLists {
+ public:
+  explicit EntityBlockLists(const BlockCollection& blocks) {
+    std::size_t n = 0;
+    for (const Block& b : blocks) {
+      for (EntityId e : b.entities) {
+        n = std::max<std::size_t>(n, e + std::size_t{1});
       }
     }
+    offsets_.assign(n + 1, 0);
+    for (const Block& b : blocks) {
+      for (EntityId e : b.entities) ++offsets_[e + 1];
+    }
+    for (std::size_t e = 0; e < n; ++e) offsets_[e + 1] += offsets_[e];
+    blocks_.resize(offsets_[n]);
+    // Filled in block order, so every list comes out ascending.
+    std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (std::uint32_t i = 0; i < blocks.size(); ++i) {
+      for (EntityId e : blocks[i].entities) blocks_[cursor[e]++] = i;
+    }
+  }
+
+  /// One past the largest entity id of the collection (0 when empty).
+  std::size_t num_entities() const { return offsets_.size() - 1; }
+  const std::uint32_t* begin(EntityId e) const {
+    return blocks_.data() + offsets_[e];
+  }
+  const std::uint32_t* end(EntityId e) const {
+    return blocks_.data() + offsets_[e + 1];
+  }
+  std::uint32_t count(EntityId e) const {
+    return offsets_[e + 1] - offsets_[e];
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> blocks_;
+};
+
+// Blocks per ARCS summation chunk. ARCS weights are sums of reciprocals,
+// so their rounding depends on the association: a pair's increments are
+// summed in block order inside each 256-block chunk, then the chunk sums in
+// chunk order. That is the association of the pair-enumerating build this
+// pass replaced, so ARCS weights, and the pruning decisions resting on them,
+// kept every bit (tests/metablocking_diff_test.cc pins it).
+constexpr std::size_t kArcsChunkBlocks = 256;
+
+// The entity-centric pass. Every query entity q, ascending, walks its
+// blocks in block order; for each co-occurring entity y that the pair is
+// emitted from q for — y is not a query entity, or y > q — it calls
+// visit(y, block, first), `first` marking y's first co-occurrence in q's
+// pass. After q's blocks, emit(pair, y, shared) runs once per neighbour y,
+// `shared` being the number of blocks q and y share. Each query-relevant
+// pair is thus emitted exactly once, from its smaller query endpoint.
+template <typename Visit, typename Emit>
+void ForEachQueryEdge(const BlockCollection& blocks,
+                      const EntityBlockLists& lists, Visit&& visit,
+                      Emit&& emit) {
+  const std::size_t n = lists.num_entities();
+  std::vector<std::uint8_t> is_query(n, 0);
+  for (const Block& b : blocks) {
+    for (EntityId q : b.query_entities) is_query[q] = 1;
+  }
+  std::vector<std::uint32_t> shared(n, 0);
+  std::vector<EntityId> touched;
+  for (EntityId q = 0; q < n; ++q) {
+    if (!is_query[q]) continue;
+    for (const std::uint32_t* it = lists.begin(q); it != lists.end(q); ++it) {
+      for (EntityId y : blocks[*it].entities) {
+        if (y == q || (is_query[y] && y < q)) continue;
+        const bool first = shared[y]++ == 0;
+        if (first) touched.push_back(y);
+        visit(y, *it, first);
+      }
+    }
+    for (EntityId y : touched) {
+      emit(q < y ? Comparison{q, y} : Comparison{y, q}, y, shared[y]);
+      shared[y] = 0;
+    }
+    touched.clear();
   }
 }
 
-// Blocks per weighting chunk. Fixed (not derived from the worker count) so
-// the chunking — and with it every partial-sum association — is the same
-// no matter how many workers run, which keeps ARCS/JS weights bit-identical
-// across thread counts.
-constexpr std::size_t kWeightingChunkBlocks = 256;
+// Sorts pairs ascending in O(E + n): a stable counting pass by the second
+// endpoint, then one by the first (LSD radix, entity ids as digits). A
+// comparison sort of the emitted edges cost more than the whole pass.
+template <typename T, typename PairOf>
+void SortByPair(std::vector<T>* items, std::size_t num_entities,
+                PairOf pair_of) {
+  std::vector<T> scratch(items->size());
+  std::vector<std::size_t> start(num_entities + 1);
+  auto pass = [&](auto digit, const std::vector<T>& from, std::vector<T>* to) {
+    std::fill(start.begin(), start.end(), 0);
+    for (const T& x : from) ++start[digit(x) + 1];
+    for (std::size_t e = 0; e < num_entities; ++e) start[e + 1] += start[e];
+    for (const T& x : from) (*to)[start[digit(x)]++] = x;
+  };
+  pass([&](const T& x) { return pair_of(x).second; }, *items, &scratch);
+  pass([&](const T& x) { return pair_of(x).first; }, scratch, items);
+}
 
 }  // namespace
 
 BlockingGraph BuildBlockingGraph(const BlockCollection& blocks,
-                                 EdgeWeighting weighting, ThreadPool* pool) {
-  // Per-entity block counts for the JS denominator (linear in the input —
-  // not worth a parallel pass next to the quadratic pair enumeration).
-  std::unordered_map<EntityId, double> entity_block_count;
-  if (weighting == EdgeWeighting::kJs) {
-    for (const Block& b : blocks) {
-      for (EntityId e : b.entities) entity_block_count[e] += 1;
-    }
-  }
-
-  // Accumulate per-pair weights (CBS and JS need the shared-block count;
-  // ARCS needs Σ 1/||b||) into per-chunk maps — the parallel workers never
-  // share an accumulator — then merge in ascending chunk order. With a null
-  // pool the chunks run inline in the same order, so both paths execute the
-  // identical sequence of floating-point additions.
-  const std::vector<ChunkRange> chunks =
-      FixedSizeChunks(blocks.size(), kWeightingChunkBlocks);
-  std::vector<std::unordered_map<std::uint64_t, double>> partials(
-      chunks.size());
-  Status status = ParallelFor(
-      pool, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto& accum = partials[chunk];
-        ForEachQueryPairInRange(
-            blocks, begin, end, [&](Comparison pair, std::size_t block_index) {
-              double increment = 1.0;
-              if (weighting == EdgeWeighting::kArcs) {
-                double cardinality = blocks[block_index].Cardinality();
-                increment = cardinality > 0 ? 1.0 / cardinality : 0.0;
-              }
-              accum[PairKey(pair.first, pair.second)] += increment;
-            });
-        return Status::OK();
-      });
-  // Bodies only fail by throwing; rethrow on the calling thread for parity
-  // with the sequential accumulation's error behavior.
-  if (!status.ok()) throw std::runtime_error(status.ToString());
-
-  std::unordered_map<std::uint64_t, double> accum;
-  for (auto& partial : partials) {
-    for (const auto& [key, increment] : partial) accum[key] += increment;
-  }
-
+                                 EdgeWeighting weighting) {
+  const EntityBlockLists lists(blocks);
   BlockingGraph graph;
-  graph.edges.reserve(accum.size());
-  for (const auto& [key, raw_weight] : accum) {
-    auto a = static_cast<EntityId>(key >> 32);
-    auto b = static_cast<EntityId>(key & 0xffffffffu);
-    double weight = raw_weight;
-    if (weighting == EdgeWeighting::kJs) {
-      double denom = entity_block_count[a] + entity_block_count[b] - raw_weight;
-      weight = denom > 0 ? raw_weight / denom : 0.0;
+  switch (weighting) {
+    case EdgeWeighting::kCbs:
+      ForEachQueryEdge(
+          blocks, lists, [](EntityId, std::uint32_t, bool) {},
+          [&](Comparison pair, EntityId, std::uint32_t shared) {
+            graph.edges.push_back({pair, static_cast<double>(shared)});
+          });
+      break;
+    case EdgeWeighting::kJs:
+      ForEachQueryEdge(
+          blocks, lists, [](EntityId, std::uint32_t, bool) {},
+          [&](Comparison pair, EntityId, std::uint32_t shared) {
+            const double common = shared;
+            const double denom = static_cast<double>(lists.count(pair.first)) +
+                                 static_cast<double>(lists.count(pair.second)) -
+                                 common;
+            graph.edges.push_back({pair, denom > 0 ? common / denom : 0.0});
+          });
+      break;
+    case EdgeWeighting::kArcs: {
+      std::vector<double> reciprocal(blocks.size());
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const double cardinality = blocks[i].Cardinality();
+        reciprocal[i] = cardinality > 0 ? 1.0 / cardinality : 0.0;
+      }
+      // Per neighbour: the finished chunks' total, the open chunk's sum and
+      // the open chunk's index.
+      struct ArcsSum {
+        double total;
+        double chunk_sum;
+        std::size_t chunk;
+      };
+      std::vector<ArcsSum> sums(lists.num_entities());
+      ForEachQueryEdge(
+          blocks, lists,
+          [&](EntityId y, std::uint32_t block, bool first) {
+            ArcsSum& s = sums[y];
+            const std::size_t chunk = block / kArcsChunkBlocks;
+            if (first) {
+              s = {0.0, reciprocal[block], chunk};
+            } else if (chunk != s.chunk) {
+              s.total += s.chunk_sum;
+              s.chunk_sum = reciprocal[block];
+              s.chunk = chunk;
+            } else {
+              s.chunk_sum += reciprocal[block];
+            }
+          },
+          [&](Comparison pair, EntityId y, std::uint32_t) {
+            graph.edges.push_back({pair, sums[y].total + sums[y].chunk_sum});
+          });
+      break;
     }
-    graph.edges.push_back({{a, b}, weight});
   }
-  // Deterministic order for reproducible downstream behaviour; the mean is
-  // summed in sorted order so it depends only on the final edge set, not on
-  // map iteration order.
-  std::sort(graph.edges.begin(), graph.edges.end(),
-            [](const WeightedEdge& x, const WeightedEdge& y) {
-              return x.pair < y.pair;
-            });
+  // The mean is summed in sorted order, so it depends only on the edge set.
+  SortByPair(&graph.edges, lists.num_entities(),
+             [](const WeightedEdge& edge) { return edge.pair; });
   double total_weight = 0;
   for (const WeightedEdge& edge : graph.edges) total_weight += edge.weight;
   graph.mean_weight =
@@ -130,20 +193,20 @@ std::vector<Comparison> EdgePruning(const BlockingGraph& graph) {
 }
 
 std::vector<Comparison> EdgePruning(const BlockCollection& blocks,
-                                    EdgeWeighting weighting, ThreadPool* pool) {
-  return EdgePruning(BuildBlockingGraph(blocks, weighting, pool));
+                                    EdgeWeighting weighting) {
+  return EdgePruning(BuildBlockingGraph(blocks, weighting));
 }
 
 std::vector<Comparison> DistinctComparisons(const BlockCollection& blocks) {
-  std::unordered_set<std::uint64_t> seen;
+  const EntityBlockLists lists(blocks);
   std::vector<Comparison> comparisons;
-  ForEachQueryPairInRange(blocks, 0, blocks.size(),
-                          [&](Comparison pair, std::size_t) {
-    if (seen.insert(PairKey(pair.first, pair.second)).second) {
-      comparisons.push_back(pair);
-    }
-  });
-  std::sort(comparisons.begin(), comparisons.end());
+  ForEachQueryEdge(
+      blocks, lists, [](EntityId, std::uint32_t, bool) {},
+      [&](Comparison pair, EntityId, std::uint32_t) {
+        comparisons.push_back(pair);
+      });
+  SortByPair(&comparisons, lists.num_entities(),
+             [](const Comparison& pair) { return pair; });
   return comparisons;
 }
 

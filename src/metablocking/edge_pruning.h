@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "blocking/block.h"
-#include "parallel/thread_pool.h"
 
 namespace queryer {
 
@@ -54,15 +53,16 @@ struct BlockingGraph {
 /// input collection itself, i.e. after any block-refinement steps, following
 /// the strict BP -> BF -> EP order of the paper.
 ///
-/// Edge weighting is per-pair and embarrassingly parallel: with a
-/// multi-worker `pool` the blocks are accumulated into per-chunk weight
-/// maps in parallel and merged in chunk order. The chunks are a fixed size
-/// (independent of the worker count) and the merge order is fixed, so the
-/// resulting weights — including every floating-point rounding — are
-/// bit-identical at every thread count, null pool included.
+/// The weights are accumulated entity-centrically: each query entity makes
+/// one pass over its blocks, counting its co-occurring entities in a dense
+/// counter indexed by entity id, and a pair is emitted once, from its
+/// smaller query endpoint. That is O(Σ|QE_b|·|b|) work, not the O(Σ|b|²)
+/// of enumerating every pair of every block. A pair's shared blocks arrive
+/// in block order, and ARCS sums them inside fixed 256-block chunks, then
+/// the chunk sums in chunk order, so every weight has one fixed rounding.
+/// Edges are sorted by pair and the mean is summed in that order.
 BlockingGraph BuildBlockingGraph(const BlockCollection& blocks,
-                                 EdgeWeighting weighting,
-                                 ThreadPool* pool = nullptr);
+                                 EdgeWeighting weighting);
 
 /// \brief Weighted Edge Pruning: keeps edges with weight >= mean weight.
 ///
@@ -71,12 +71,12 @@ std::vector<Comparison> EdgePruning(const BlockingGraph& graph);
 
 /// \brief Convenience: graph construction + pruning.
 std::vector<Comparison> EdgePruning(const BlockCollection& blocks,
-                                    EdgeWeighting weighting,
-                                    ThreadPool* pool = nullptr);
+                                    EdgeWeighting weighting);
 
 /// \brief All distinct query-relevant comparisons of a block collection,
-/// without pruning (the BP+BF configuration of paper Table 8). Each pair is
-/// listed once even if it co-occurs in many blocks.
+/// without pruning (the BP+BF configuration of paper Table 8), sorted. Each
+/// pair is listed once even if it co-occurs in many blocks; the same
+/// entity-centric pass as BuildBlockingGraph, without weights.
 std::vector<Comparison> DistinctComparisons(const BlockCollection& blocks);
 
 }  // namespace queryer

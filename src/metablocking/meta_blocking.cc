@@ -1,32 +1,43 @@
 #include "metablocking/meta_blocking.h"
 
+#include "common/stopwatch.h"
+
 namespace queryer {
 
 MetaBlockingResult RunMetaBlocking(BlockCollection blocks,
                                    const MetaBlockingConfig& config,
-                                   ThreadPool* pool) {
+                                   ThreadPool* /*pool*/, TraceSink* trace) {
   MetaBlockingResult result;
   result.blocks_in = blocks.size();
 
+  Stopwatch watch;
   if (config.block_purging) {
-    blocks = BlockPurging(std::move(blocks), config.purging_outlier_factor,
-                          pool);
+    TraceSpan span(trace, "purging", "er");
+    blocks = BlockPurging(std::move(blocks), config.purging_outlier_factor);
+    result.purging_seconds = watch.ElapsedSeconds();
   }
   result.blocks_after_purging = blocks.size();
 
   if (config.block_filtering) {
-    blocks = BlockFiltering(blocks, config.filtering_ratio, pool);
+    watch.Restart();
+    TraceSpan span(trace, "filtering", "er");
+    blocks = BlockFiltering(blocks, config.filtering_ratio);
+    result.filtering_seconds = watch.ElapsedSeconds();
   }
   result.blocks_after_filtering = blocks.size();
 
-  if (config.edge_pruning) {
-    BlockingGraph graph =
-        BuildBlockingGraph(blocks, config.edge_weighting, pool);
-    result.comparisons_before_pruning = graph.edges.size();
-    result.comparisons = EdgePruning(graph);
-  } else {
-    result.comparisons = DistinctComparisons(blocks);
-    result.comparisons_before_pruning = result.comparisons.size();
+  {
+    watch.Restart();
+    TraceSpan span(trace, "edge-pruning", "er");
+    if (config.edge_pruning) {
+      BlockingGraph graph = BuildBlockingGraph(blocks, config.edge_weighting);
+      result.comparisons_before_pruning = graph.edges.size();
+      result.comparisons = EdgePruning(graph);
+    } else {
+      result.comparisons = DistinctComparisons(blocks);
+      result.comparisons_before_pruning = result.comparisons.size();
+    }
+    result.edge_pruning_seconds = watch.ElapsedSeconds();
   }
   return result;
 }

@@ -11,6 +11,8 @@
 #include "metablocking/block_filtering.h"
 #include "metablocking/block_purging.h"
 #include "metablocking/edge_pruning.h"
+#include "obs/trace.h"
+#include "parallel/thread_pool.h"
 
 namespace queryer {
 
@@ -42,26 +44,39 @@ struct MetaBlockingConfig {
   }
 };
 
-/// \brief Outcome of a meta-blocking run.
+/// \brief Outcome of a meta-blocking run: the surviving comparisons plus
+/// the funnel counts and stage timings the engine reports.
 struct MetaBlockingResult {
   /// Comparisons that survived (each pair once, deterministic order).
   std::vector<Comparison> comparisons;
-  /// Block counts after each enabled stage, for stats reporting.
+  /// Block counts after each enabled stage (a disabled stage passes its
+  /// input count through).
   std::size_t blocks_in = 0;
   std::size_t blocks_after_purging = 0;
   std::size_t blocks_after_filtering = 0;
   /// Distinct query-relevant pairs before Edge Pruning.
   std::size_t comparisons_before_pruning = 0;
+  /// Wall time of each stage; a disabled stage reads 0. The last stage —
+  /// Edge Pruning, or the distinct-pair listing without it — is
+  /// `edge_pruning_seconds`.
+  double purging_seconds = 0;
+  double filtering_seconds = 0;
+  double edge_pruning_seconds = 0;
 };
 
 /// \brief Runs the configured refinement steps over an enriched block
 /// collection (the EQBI of Block-Join) and returns the surviving
-/// comparisons. A multi-worker `pool` parallelizes the edge weighting and
-/// the purging/filtering size statistics; results are identical at every
-/// thread count (see the per-stage headers).
+/// comparisons, identical at every thread count.
+///
+/// Every stage runs on the calling thread. `pool` is kept for callers that
+/// pass one and is not used: splitting even batch ER's whole-table pass
+/// across workers measured slower end to end (docs/ARCHITECTURE.md).
+/// `trace` (may be null) receives one span per stage, named `purging`,
+/// `filtering` and `edge-pruning`.
 MetaBlockingResult RunMetaBlocking(BlockCollection blocks,
                                    const MetaBlockingConfig& config,
-                                   ThreadPool* pool = nullptr);
+                                   ThreadPool* pool = nullptr,
+                                   TraceSink* trace = nullptr);
 
 }  // namespace queryer
 

@@ -202,8 +202,8 @@ std::vector<ChunkRange> SplitRange(std::size_t n, std::size_t num_chunks);
 /// \brief Splits [0, n) into contiguous chunks of exactly `chunk_size`
 /// elements (the last chunk may be shorter). Unlike SplitRange, the chunk
 /// boundaries do not depend on the worker count, so phases whose
-/// chunk-order merge must be identical at every pool width (meta-blocking
-/// edge weighting, parallel Group-Entities aggregation) chunk with this.
+/// chunk-order merge must be identical at every pool width (parallel
+/// Group-Entities aggregation) chunk with this.
 std::vector<ChunkRange> FixedSizeChunks(std::size_t n, std::size_t chunk_size);
 
 /// Body of a ParallelFor: processes [begin, end) as chunk `chunk_index`.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "blocking/block_join.h"
 #include "blocking/token_blocking.h"
@@ -87,15 +89,32 @@ TEST(TableBlockIndexTest, MemoryFootprintPositive) {
   EXPECT_GT(tbi->MemoryFootprint(), 0u);
 }
 
+// The ITBI-derived join against the tokenized definition: every query
+// entity's blocking keys that index a TBI block, key-sorted, each block
+// carrying the query entities holding its key in selection order.
 TEST(QueryBlockIndexTest, BuildsOnlyOverQueryEntities) {
   TablePtr p = MotivatingP();
-  QueryBlockIndex qbi = QueryBlockIndex::Build(*p, {0}, BlockingOptions{});
-  // All keys must be P1's tokens.
-  std::vector<std::string> expected =
-      EntityBlockingKeys(*p, 0, BlockingOptions{});
-  EXPECT_EQ(qbi.num_blocks(), expected.size());
-  for (const auto& [key, entities] : qbi.blocks()) {
-    EXPECT_EQ(entities, (std::vector<EntityId>{0}));
+  auto tbi = TableBlockIndex::Build(*p, BlockingOptions{});
+  const std::vector<EntityId> selection = {5, 0, 7, 0};
+  QueryBlockIndex qbi =
+      QueryBlockIndex::Build(*p, selection, BlockingOptions{});
+  EXPECT_EQ(qbi.query_entities(), selection);
+
+  std::map<std::string, std::vector<EntityId>> tokenized;
+  for (EntityId e : selection) {
+    for (const std::string& key :
+         EntityBlockingKeys(*p, e, BlockingOptions{})) {
+      if (tbi->FindBlock(key) >= 0) tokenized[key].push_back(e);
+    }
+  }
+  BlockCollection enriched = BlockJoin(qbi, *tbi);
+  ASSERT_EQ(enriched.size(), tokenized.size());
+  auto expected = tokenized.begin();
+  for (const Block& b : enriched) {
+    EXPECT_EQ(tbi->block_key(b.key), expected->first);
+    EXPECT_EQ(b.entities, tbi->block_entities(b.key));
+    EXPECT_EQ(b.query_entities, expected->second) << expected->first;
+    ++expected;
   }
 }
 
@@ -104,15 +123,13 @@ TEST(BlockJoinTest, EnrichesQueryBlocksWithTableEntities) {
   auto tbi = TableBlockIndex::Build(*p, BlockingOptions{});
   // Query: P1 only (as selected by venue='EDBT' + year 2008, say).
   QueryBlockIndex qbi = QueryBlockIndex::Build(*p, {0}, BlockingOptions{});
-  BlockJoinStats stats;
-  BlockCollection enriched = BlockJoin(qbi, *tbi, &stats);
-  EXPECT_EQ(stats.qbi_blocks, qbi.num_blocks());
-  EXPECT_EQ(stats.matched_blocks, enriched.size());
-  EXPECT_LE(enriched.size(), qbi.num_blocks());
+  BlockCollection enriched = BlockJoin(qbi, *tbi);
+  EXPECT_EQ(enriched.size(), tbi->entity_blocks(0).size());
 
   // The "collective" block must now contain P2 as well.
-  auto it = std::find_if(enriched.begin(), enriched.end(),
-                         [](const Block& b) { return b.key == "collective"; });
+  auto it = std::find_if(enriched.begin(), enriched.end(), [&](const Block& b) {
+    return tbi->block_key(b.key) == "collective";
+  });
   ASSERT_NE(it, enriched.end());
   EXPECT_EQ(it->entities, (std::vector<EntityId>{0, 1}));
   EXPECT_EQ(it->query_entities, (std::vector<EntityId>{0}));
@@ -125,8 +142,10 @@ TEST(BlockJoinTest, KeysAbsentFromTbiProduceNoBlocks) {
   // "p4" has no block; joined blocks only cover shared keys.
   QueryBlockIndex qbi = QueryBlockIndex::Build(*p, {3}, BlockingOptions{});
   BlockCollection enriched = BlockJoin(qbi, *tbi);
+  ASSERT_FALSE(enriched.empty());
   for (const Block& b : enriched) {
-    EXPECT_GE(b.entities.size(), 2u) << "block " << b.key;
+    EXPECT_GE(b.entities.size(), 2u) << "block " << tbi->block_key(b.key);
+    EXPECT_NE(tbi->block_key(b.key), "p4");
   }
 }
 

@@ -224,6 +224,26 @@ TEST_F(EngineTest, StatsBreakdownIsConsistent) {
                stats.other_seconds();
   EXPECT_NEAR(sum, stats.total_seconds, 1e-6);
   EXPECT_FALSE(stats.ToString().empty());
+  // The ER funnel narrows stage by stage.
+  EXPECT_GT(stats.blocks_after_join, 0u);
+  EXPECT_GE(stats.blocks_after_join, stats.blocks_after_purging);
+  EXPECT_GE(stats.blocks_after_purging, stats.blocks_after_filtering);
+  EXPECT_GE(stats.comparisons_before_pruning,
+            stats.comparisons_after_metablocking);
+}
+
+TEST_F(EngineTest, BatchModeReportsMetaBlockingFunnel) {
+  QueryEngine engine(Options());
+  RegisterExample(&engine);
+  engine.set_mode(ExecutionMode::kBatch);
+  auto result = engine.Execute(kPaperQuery);
+  ASSERT_TRUE(result.ok());
+  const ExecStats& stats = result->stats;
+  EXPECT_GT(stats.blocks_after_purging, 0u);
+  EXPECT_GE(stats.blocks_after_purging, stats.blocks_after_filtering);
+  EXPECT_GE(stats.comparisons_before_pruning,
+            stats.comparisons_after_metablocking);
+  EXPECT_GT(stats.comparisons_after_metablocking, 0u);
 }
 
 }  // namespace

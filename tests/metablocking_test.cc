@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "metablocking/meta_blocking.h"
 
 namespace queryer {
 namespace {
 
-Block MakeBlock(std::string key, std::vector<EntityId> entities,
+// Blocks name their key by TBI block id; these collections have no TBI, so
+// the ids below just stand for the keys in the comments.
+Block MakeBlock(std::uint32_t key, std::vector<EntityId> entities,
                 std::vector<EntityId> query_entities) {
   Block b;
-  b.key = std::move(key);
+  b.key = key;
   b.entities = std::move(entities);
   b.query_entities = std::move(query_entities);
   return b;
@@ -21,29 +24,30 @@ Block MakeBlock(std::string key, std::vector<EntityId> entities,
 
 // A synthetic collection with one oversized stop-word block ("entity") and
 // several small discriminative blocks.
+constexpr std::uint32_t kEntityKey = 0;
 BlockCollection StopWordCollection() {
   BlockCollection blocks;
   std::vector<EntityId> everyone;
   for (EntityId e = 0; e < 40; ++e) everyone.push_back(e);
-  blocks.push_back(MakeBlock("entity", everyone, {0, 1}));
-  blocks.push_back(MakeBlock("collective", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("consumer", {2, 3, 4}, {2}));
-  blocks.push_back(MakeBlock("davids", {5, 6}, {5}));
-  blocks.push_back(MakeBlock("blake", {7, 8, 9}, {7}));
-  blocks.push_back(MakeBlock("2008", {0, 1, 10}, {0}));
+  blocks.push_back(MakeBlock(kEntityKey, everyone, {0, 1}));
+  blocks.push_back(MakeBlock(1, {0, 1}, {0}));       // "collective"
+  blocks.push_back(MakeBlock(2, {2, 3, 4}, {2}));    // "consumer"
+  blocks.push_back(MakeBlock(3, {5, 6}, {5}));       // "davids"
+  blocks.push_back(MakeBlock(4, {7, 8, 9}, {7}));    // "blake"
+  blocks.push_back(MakeBlock(5, {0, 1, 10}, {0}));   // "2008"
   return blocks;
 }
 
 TEST(BlockPurgingTest, RemovesOversizedBlock) {
   BlockCollection purged = BlockPurging(StopWordCollection());
   EXPECT_EQ(purged.size(), 5u);
-  for (const Block& b : purged) EXPECT_NE(b.key, "entity");
+  for (const Block& b : purged) EXPECT_NE(b.key, kEntityKey);
 }
 
 TEST(BlockPurgingTest, KeepsUniformCollection) {
   BlockCollection blocks;
   for (int i = 0; i < 10; ++i) {
-    blocks.push_back(MakeBlock("k" + std::to_string(i),
+    blocks.push_back(MakeBlock(static_cast<std::uint32_t>(i),
                                {static_cast<EntityId>(2 * i),
                                 static_cast<EntityId>(2 * i + 1)},
                                {static_cast<EntityId>(2 * i)}));
@@ -77,13 +81,14 @@ TEST(BlockFilteringTest, EntityRetainedInSmallestBlocks) {
   BlockCollection blocks;
   std::vector<EntityId> everyone;
   for (EntityId e = 0; e < 40; ++e) everyone.push_back(e);
-  blocks.push_back(MakeBlock("big", everyone, {0}));
-  blocks.push_back(MakeBlock("mid", {0, 1, 2}, {0}));
-  blocks.push_back(MakeBlock("small", {0, 1}, {0}));
+  constexpr std::uint32_t kBig = 0, kMid = 1, kSmall = 2;
+  blocks.push_back(MakeBlock(kBig, everyone, {0}));
+  blocks.push_back(MakeBlock(kMid, {0, 1, 2}, {0}));
+  blocks.push_back(MakeBlock(kSmall, {0, 1}, {0}));
   BlockCollection filtered = BlockFiltering(blocks, 0.5);
   bool saw_big = false;
   for (const Block& b : filtered) {
-    if (b.key == "big") {
+    if (b.key == kBig) {
       saw_big = true;
       EXPECT_EQ(std::count(b.entities.begin(), b.entities.end(), 0), 0);
     }
@@ -91,25 +96,25 @@ TEST(BlockFilteringTest, EntityRetainedInSmallestBlocks) {
   // Entity 1 also kept only 2 of its 3 blocks; entity 0 stays in mid+small.
   (void)saw_big;
   auto small_it = std::find_if(filtered.begin(), filtered.end(),
-                               [](const Block& b) { return b.key == "small"; });
+                               [](const Block& b) { return b.key == kSmall; });
   ASSERT_NE(small_it, filtered.end());
   EXPECT_NE(std::count(small_it->entities.begin(), small_it->entities.end(), 0), 0);
 }
 
 TEST(BlockFilteringTest, DropsBlocksWithoutQueryEntities) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("a", {0, 1}, {}));  // No query entity.
-  blocks.push_back(MakeBlock("b", {2, 3}, {2}));
+  blocks.push_back(MakeBlock(0, {0, 1}, {}));  // No query entity.
+  blocks.push_back(MakeBlock(1, {2, 3}, {2}));
   BlockCollection filtered = BlockFiltering(blocks, 0.9);
   ASSERT_EQ(filtered.size(), 1u);
-  EXPECT_EQ(filtered[0].key, "b");
+  EXPECT_EQ(filtered[0].key, 1u);
 }
 
 TEST(BlockingGraphTest, CbsCountsSharedBlocks) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("x", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("y", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("z", {0, 2}, {0}));
+  blocks.push_back(MakeBlock(0, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(1, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(2, {0, 2}, {0}));
   BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kCbs);
   ASSERT_EQ(graph.edges.size(), 2u);
   // Edges sorted by pair: (0,1) weight 2, (0,2) weight 1.
@@ -121,9 +126,9 @@ TEST(BlockingGraphTest, CbsCountsSharedBlocks) {
 
 TEST(BlockingGraphTest, JsNormalizesBySharedUniverse) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("x", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("y", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("z", {0, 2}, {0}));
+  blocks.push_back(MakeBlock(0, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(1, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(2, {0, 2}, {0}));
   BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kJs);
   // (0,1): shared 2, |blocks(0)|=3, |blocks(1)|=2 -> 2/(3+2-2) = 2/3.
   EXPECT_NEAR(graph.edges[0].weight, 2.0 / 3.0, 1e-9);
@@ -133,8 +138,8 @@ TEST(BlockingGraphTest, JsNormalizesBySharedUniverse) {
 
 TEST(BlockingGraphTest, ArcsRewardsSmallBlocks) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("small", {0, 1}, {0}));          // ||b|| = 1.
-  blocks.push_back(MakeBlock("large", {0, 2, 3, 4, 5}, {0})); // ||b|| = 10.
+  blocks.push_back(MakeBlock(0, {0, 1}, {0}));           // ||b|| = 1.
+  blocks.push_back(MakeBlock(1, {0, 2, 3, 4, 5}, {0}));  // ||b|| = 10.
   BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kArcs);
   auto weight_of = [&](Comparison pair) {
     for (const auto& edge : graph.edges) {
@@ -148,7 +153,7 @@ TEST(BlockingGraphTest, ArcsRewardsSmallBlocks) {
 
 TEST(BlockingGraphTest, OnlyQueryRelevantEdges) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("x", {0, 1, 2, 3}, {0}));
+  blocks.push_back(MakeBlock(0, {0, 1, 2, 3}, {0}));
   BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kCbs);
   // Only pairs touching entity 0: (0,1), (0,2), (0,3) — not (1,2) etc.
   EXPECT_EQ(graph.edges.size(), 3u);
@@ -157,9 +162,9 @@ TEST(BlockingGraphTest, OnlyQueryRelevantEdges) {
 
 TEST(EdgePruningTest, KeepsAtOrAboveMean) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("x", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("y", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("z", {0, 2}, {0}));
+  blocks.push_back(MakeBlock(0, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(1, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(2, {0, 2}, {0}));
   std::vector<Comparison> kept = EdgePruning(blocks, EdgeWeighting::kCbs);
   // Mean = 1.5; only (0,1) with weight 2 survives.
   EXPECT_EQ(kept, (std::vector<Comparison>{{0, 1}}));
@@ -167,16 +172,16 @@ TEST(EdgePruningTest, KeepsAtOrAboveMean) {
 
 TEST(EdgePruningTest, UniformWeightsKeepAll) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("x", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("y", {2, 3}, {2}));
+  blocks.push_back(MakeBlock(0, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(1, {2, 3}, {2}));
   std::vector<Comparison> kept = EdgePruning(blocks, EdgeWeighting::kCbs);
   EXPECT_EQ(kept.size(), 2u);
 }
 
 TEST(DistinctComparisonsTest, DeduplicatesAcrossBlocks) {
   BlockCollection blocks;
-  blocks.push_back(MakeBlock("x", {0, 1}, {0}));
-  blocks.push_back(MakeBlock("y", {1, 0}, {0}));  // Same pair, other order.
+  blocks.push_back(MakeBlock(0, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(1, {1, 0}, {0}));  // Same pair, other order.
   std::vector<Comparison> comparisons = DistinctComparisons(blocks);
   EXPECT_EQ(comparisons, (std::vector<Comparison>{{0, 1}}));
 }
@@ -202,6 +207,29 @@ TEST(MetaBlockingTest, ConfigsOrderedByAggressiveness) {
   EXPECT_LE(all, bp_bf);
   EXPECT_LE(bp_bf, none);
   EXPECT_GT(none, 0u);
+}
+
+TEST(MetaBlockingTest, ReportsFunnelCountsAndStageSpans) {
+  TraceSink trace;
+  MetaBlockingResult all = RunMetaBlocking(
+      StopWordCollection(), MetaBlockingConfig::All(), nullptr, &trace);
+  EXPECT_EQ(all.blocks_after_purging, 5u);
+  EXPECT_LE(all.blocks_after_filtering, all.blocks_after_purging);
+  EXPECT_GE(all.comparisons_before_pruning, all.comparisons.size());
+  const std::string spans = trace.ToJson();
+  for (const char* stage :
+       {"\"purging\"", "\"filtering\"", "\"edge-pruning\""}) {
+    EXPECT_NE(spans.find(stage), std::string::npos) << stage;
+  }
+
+  // Disabled stages pass their input count through and take no time.
+  MetaBlockingResult none =
+      RunMetaBlocking(StopWordCollection(), MetaBlockingConfig::None());
+  EXPECT_EQ(none.blocks_after_purging, 6u);
+  EXPECT_EQ(none.blocks_after_filtering, 6u);
+  EXPECT_EQ(none.purging_seconds, 0.0);
+  EXPECT_EQ(none.filtering_seconds, 0.0);
+  EXPECT_EQ(none.comparisons_before_pruning, none.comparisons.size());
 }
 
 }  // namespace
