@@ -224,10 +224,10 @@ void BM_ComparisonExecution(benchmark::State& state) {
   AttributeWeights weights = AttributeWeights::Compute(*dsd.table);
   for (auto _ : state) {
     LinkIndex li(dsd.table->num_rows());
-    ComparisonExecStats stats =
-        *ExecuteComparisons(*dsd.table, refined.comparisons, config, &li,
-                            &weights, BenchPool());
-    benchmark::DoNotOptimize(stats);
+    StagedComparisons staged =
+        *EvaluateComparisons(*dsd.table, refined.comparisons, config, li,
+                             &weights, BenchPool());
+    benchmark::DoNotOptimize(li.PublishLinks(staged.matched));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(refined.comparisons.size()));

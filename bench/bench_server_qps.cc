@@ -14,7 +14,7 @@
 //
 // Defaults: 200 clients, 10 seconds. The engine is configured with one
 // admission slot per client (this bench measures the wire + cache layers,
-// not admission shedding — bench_concurrent_sessions covers contention).
+// not admission shedding — bench_concurrent_queries covers contention).
 //
 // Output: human table + "CSV,server_qps,..." + JSON lines (BENCH_exec.json).
 
@@ -55,7 +55,7 @@ void Worker(int id, std::uint16_t port, const std::atomic<bool>& stop,
             WorkerStats* out) {
   // Eight tenant ids spread across the fleet: multi-tenant bookkeeping is
   // on the hot path without any tenant ever hitting a quota (quotas are
-  // unlimited here; shedding is bench_concurrent_sessions' subject).
+  // unlimited here; shedding is bench_concurrent_queries' subject).
   auto connected = queryer::Client::Connect(
       "127.0.0.1", port, "bench-tenant-" + std::to_string(id % 8));
   if (!connected.ok()) {

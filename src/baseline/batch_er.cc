@@ -30,23 +30,24 @@ Result<BatchErStats> BatchDeduplicate(TableRuntime* runtime,
 
   watch.Restart();
   QUERYER_ASSIGN_OR_RETURN(
-      ComparisonExecStats exec,
-      ExecuteComparisons(runtime->table(), refined.comparisons,
-                         runtime->matching_config(), &runtime->link_index(),
-                         &runtime->attribute_weights(),
-                         runtime->thread_pool()));
+      StagedComparisons exec,
+      EvaluateComparisons(runtime->table(), refined.comparisons,
+                          runtime->matching_config(), runtime->link_index(),
+                          &runtime->attribute_weights(),
+                          runtime->thread_pool()));
+  const std::size_t merges = runtime->link_index().PublishLinks(exec.matched);
   double resolution_seconds = watch.ElapsedSeconds();
 
   runtime->link_index().MarkAllResolved();
 
   result.comparisons_executed = exec.executed;
-  result.matches_found = exec.matches_found;
+  result.matches_found = merges;
   result.seconds = total.ElapsedSeconds();
 
   if (stats != nullptr) {
     stats->comparisons_executed += exec.executed;
     stats->comparisons_skipped_linked += exec.skipped_linked;
-    stats->matches_found += exec.matches_found;
+    stats->matches_found += merges;
     stats->blocking_seconds += block_seconds;
     stats->purging_seconds += refined.purging_seconds;
     stats->filtering_seconds += refined.filtering_seconds;

@@ -74,8 +74,8 @@ struct EngineOptions {
   /// Execute/Explain count as one session for their duration.
   /// 1 (default) serializes queries — exactly the single-client engine,
   /// merely made safe to call from any thread. Values > 1 admit that many
-  /// concurrent query sessions, which then resolve through the Link
-  /// Index's reader/writer protocol and the per-table resolution
+  /// concurrent query sessions. Either way every session resolves through
+  /// the Link Index's reader/writer protocol and the per-table resolution
   /// coordinator (entity claims + comparison-dedup table). 0 = unlimited.
   std::size_t max_concurrent_queries = 1;
   /// Bounded admission: how long (seconds) an arriving session may wait

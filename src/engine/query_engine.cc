@@ -342,9 +342,8 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   // is one steady_clock read pair per operator call.
   auto profile = std::make_unique<PlanProfile>();
   Executor executor(&catalog_, &runtimes_, stats.get(), pool_.get(),
-                    options.max_concurrent_queries != 1, options.batch_size,
-                    cancel, profile.get(), options.trace_sink,
-                    std::move(cancel_ctx));
+                    options.batch_size, cancel, profile.get(),
+                    options.trace_sink, std::move(cancel_ctx));
   Result<OperatorPtr> root = executor.Lower(*plan);
   if (!root.ok()) return root.status();
   // The tree is handed over UN-opened: the cursor opens it lazily at the

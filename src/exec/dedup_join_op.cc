@@ -13,7 +13,7 @@ DedupJoinOp::DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
                          ExprPtr right_key, DirtySide dirty_side,
                          std::shared_ptr<TableRuntime> dirty_runtime,
                          ExecStats* stats, ThreadPool* pool,
-                         bool concurrent_sessions, std::size_t batch_size,
+                         std::size_t batch_size,
                          std::shared_ptr<TraceSink> trace,
                          std::shared_ptr<const CancelContext> cancel)
     : left_(std::move(left)),
@@ -24,7 +24,6 @@ DedupJoinOp::DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
       dirty_runtime_(std::move(dirty_runtime)),
       stats_(stats),
       pool_(pool),
-      concurrent_sessions_(concurrent_sessions),
       batch_size_(batch_size),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)) {
@@ -85,8 +84,7 @@ Status DedupJoinOp::BuildOutput() {
     // that determined the membership, so concurrent publishes cannot shear
     // the groups mid-materialization.
     Deduplicator deduplicator(dirty_runtime_.get(), stats_, pool_,
-                              concurrent_sessions_, trace_.get(),
-                              cancel_.get());
+                              trace_.get(), cancel_.get());
     std::vector<EntityId> group_keys;
     QUERYER_ASSIGN_OR_RETURN(std::vector<EntityId> resolved,
                              deduplicator.Resolve(query_entities, &group_keys));

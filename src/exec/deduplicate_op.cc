@@ -7,14 +7,13 @@ namespace queryer {
 DeduplicateOp::DeduplicateOp(OperatorPtr child,
                              std::shared_ptr<TableRuntime> runtime,
                              ExecStats* stats, ThreadPool* pool,
-                             bool concurrent_sessions, std::size_t batch_size,
+                             std::size_t batch_size,
                              std::shared_ptr<TraceSink> trace,
                              std::shared_ptr<const CancelContext> cancel)
     : child_(std::move(child)),
       runtime_(std::move(runtime)),
       stats_(stats),
       pool_(pool),
-      concurrent_sessions_(concurrent_sessions),
       batch_size_(batch_size),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)) {
@@ -50,8 +49,7 @@ Status DeduplicateOp::OpenImpl() {
   // Resolve fills the group keys under the same Link Index snapshot that
   // determined the membership: a concurrent session publishing links while
   // this operator streams must not change the groups mid-answer.
-  Deduplicator deduplicator(runtime_.get(), stats_, pool_,
-                            concurrent_sessions_, trace_.get(),
+  Deduplicator deduplicator(runtime_.get(), stats_, pool_, trace_.get(),
                             cancel_.get());
   QUERYER_ASSIGN_OR_RETURN(result_entities_,
                            deduplicator.Resolve(query_entities, &group_keys_));

@@ -21,14 +21,11 @@ namespace queryer {
 class DeduplicateOp final : public PhysicalOperator {
  public:
   /// `pool` parallelizes comparison execution (null = sequential);
-  /// `concurrent_sessions` selects the Deduplicator's transaction protocol
-  /// for engines that admit concurrent Execute calls; `batch_size` sizes
-  /// the batches draining the child; `trace` (may be null) receives the
-  /// ER-stage spans; `cancel` (may be null) lets the session's Cancel() /
-  /// deadline pre-empt the Open-time resolution.
+  /// `batch_size` sizes the batches draining the child; `trace` (may be
+  /// null) receives the ER-stage spans; `cancel` (may be null) lets the
+  /// session's Cancel() / deadline pre-empt the Open-time resolution.
   DeduplicateOp(OperatorPtr child, std::shared_ptr<TableRuntime> runtime,
                 ExecStats* stats, ThreadPool* pool = nullptr,
-                bool concurrent_sessions = false,
                 std::size_t batch_size = kDefaultBatchSize,
                 std::shared_ptr<TraceSink> trace = nullptr,
                 std::shared_ptr<const CancelContext> cancel = nullptr);
@@ -42,7 +39,6 @@ class DeduplicateOp final : public PhysicalOperator {
   std::shared_ptr<TableRuntime> runtime_;
   ExecStats* stats_;
   ThreadPool* pool_;
-  bool concurrent_sessions_;
   std::size_t batch_size_;
   std::shared_ptr<TraceSink> trace_;
   std::shared_ptr<const CancelContext> cancel_;

@@ -54,8 +54,7 @@ Result<std::vector<EntityId>> Deduplicator::Resolve(
     const std::vector<EntityId>& query_entities,
     std::vector<EntityId>* group_keys) {
   Result<std::vector<EntityId>> result =
-      concurrent_sessions_ ? ResolveConcurrent(query_entities, group_keys)
-                           : ResolveSerial(query_entities, group_keys);
+      ResolveTransaction(query_entities, group_keys);
   if (!result.ok()) {
     const Status status = result.status();
     if (status.IsCancelled() || status.IsDeadlineExceeded()) {
@@ -68,68 +67,6 @@ Result<std::vector<EntityId>> Deduplicator::Resolve(
   // Index lock by construction, and a compaction failure only defers
   // truncation — the query's answer is unaffected.
   (void)runtime_->MaybeCompactLinkLog();
-  return result;
-}
-
-Result<std::vector<EntityId>> Deduplicator::ResolveSerial(
-    const std::vector<EntityId>& query_entities,
-    std::vector<EntityId>* group_keys) {
-  LinkIndex& li = runtime_->link_index();
-  stats_->query_entities += query_entities.size();
-
-  // Split QE into already-resolved (link-set known) and fresh entities.
-  std::vector<EntityId> unresolved;
-  unresolved.reserve(query_entities.size());
-  for (EntityId e : query_entities) {
-    if (li.IsResolved(e)) {
-      ++stats_->entities_already_resolved;
-    } else {
-      unresolved.push_back(e);
-    }
-  }
-
-  const EngineMetrics& metrics = GlobalEngineMetrics();
-  metrics.link_index_hits->Increment(query_entities.size() -
-                                     unresolved.size());
-  metrics.link_index_misses->Increment(unresolved.size());
-
-  if (!unresolved.empty()) {
-    std::vector<Comparison> comparisons = BuildComparisons(unresolved);
-
-    // (iv) Comparison-Execution; amends the Link Index with new links.
-    Stopwatch watch;
-    TraceSpan span(trace_, "resolution", "er");
-    QUERYER_ASSIGN_OR_RETURN(
-        ComparisonExecStats exec_stats,
-        ExecuteComparisons(runtime_->table(), comparisons,
-                           runtime_->matching_config(), &li,
-                           &runtime_->attribute_weights(), pool_, cancel_));
-    stats_->resolution_seconds += watch.ElapsedSeconds();
-    stats_->comparisons_executed += exec_stats.executed;
-    stats_->comparisons_skipped_linked += exec_stats.skipped_linked;
-    stats_->matches_found += exec_stats.matches_found;
-    metrics.comparisons_executed->Increment(exec_stats.executed);
-    metrics.comparisons_skipped_linked->Increment(exec_stats.skipped_linked);
-    metrics.matches_found->Increment(exec_stats.matches_found);
-    span.set_args("\"comparisons\":" + std::to_string(exec_stats.executed) +
-                  ",\"matches\":" + std::to_string(exec_stats.matches_found));
-
-    li.MarkResolvedBatch(unresolved);
-  }
-
-  // DR_E = QE ∪ duplicates(QE), ascending and distinct.
-  std::vector<EntityId> result;
-  result.reserve(query_entities.size());  // |DR| >= |QE|; avoids early regrowth.
-  for (EntityId e : query_entities) {
-    for (EntityId member : li.Cluster(e)) result.push_back(member);
-  }
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
-  if (group_keys != nullptr) {
-    group_keys->clear();
-    group_keys->reserve(result.size());
-    for (EntityId e : result) group_keys->push_back(li.Representative(e));
-  }
   return result;
 }
 
@@ -224,7 +161,7 @@ Status Deduplicator::ResolveClaimed(const std::vector<EntityId>& claimed) {
   return status;
 }
 
-Result<std::vector<EntityId>> Deduplicator::ResolveConcurrent(
+Result<std::vector<EntityId>> Deduplicator::ResolveTransaction(
     const std::vector<EntityId>& query_entities,
     std::vector<EntityId>* group_keys) {
   LinkIndex& li = runtime_->link_index();

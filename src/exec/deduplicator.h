@@ -5,21 +5,15 @@
 // Both the Deduplicate operator and the Deduplicate-Join operator (which
 // runs the pipeline on its dirty input, Alg. 1 line 5) use this class.
 //
-// Two resolution modes:
-//
-//  * Serial (default): the single-session path — comparisons are checked
-//    and links written one by one, exactly the paper's loop.
-//
-//  * Concurrent (`concurrent_sessions` = true, used by engines whose
-//    max_concurrent_queries admits parallel Execute calls): the resolution
-//    becomes a transaction against the table's ResolutionCoordinator.
-//    Unresolved entities are claimed (entities a concurrent session is
-//    already resolving are awaited, not re-resolved), the surviving
-//    comparisons are claimed in the comparison-dedup table, evaluated
-//    read-only against a shared Link Index snapshot, and the staged links
-//    are published in one short exclusive section before the claims are
-//    released. See resolution_coordinator.h for the protocol and its
-//    deadlock-freedom argument.
+// Every resolution is one transaction against the table's
+// ResolutionCoordinator, whether or not other sessions run beside it.
+// Unresolved entities are claimed (entities a concurrent session is already
+// resolving are awaited, not re-resolved), the surviving comparisons are
+// claimed in the comparison-dedup table, evaluated read-only against a
+// shared Link Index snapshot, and the staged links are published in one
+// short exclusive section before the claims are released. See
+// resolution_coordinator.h for the protocol and its deadlock-freedom
+// argument.
 
 #ifndef QUERYER_EXEC_DEDUPLICATOR_H_
 #define QUERYER_EXEC_DEDUPLICATOR_H_
@@ -38,21 +32,18 @@ namespace queryer {
 class Deduplicator {
  public:
   /// `pool` parallelizes the comparison-execution stage (null = sequential;
-  /// the operators pass the engine's pool through). `concurrent_sessions`
-  /// selects the transaction protocol above. `trace` (may be null) receives
-  /// one span per ER stage; the Deduplicator is used synchronously from one
-  /// operator call, so a raw pointer suffices (no straggler tasks hold it).
-  /// `cancel` (may be null) is the session's cancellation context, polled
-  /// inside comparison execution and between claim-loop iterations so
-  /// Cancel() / deadlines pre-empt a long resolution.
+  /// the operators pass the engine's pool through). `trace` (may be null)
+  /// receives one span per ER stage; the Deduplicator is used synchronously
+  /// from one operator call, so a raw pointer suffices (no straggler tasks
+  /// hold it). `cancel` (may be null) is the session's cancellation
+  /// context, polled inside comparison execution and between claim-loop
+  /// iterations so Cancel() / deadlines pre-empt a long resolution.
   Deduplicator(TableRuntime* runtime, ExecStats* stats,
-               ThreadPool* pool = nullptr, bool concurrent_sessions = false,
-               TraceSink* trace = nullptr,
+               ThreadPool* pool = nullptr, TraceSink* trace = nullptr,
                const CancelContext* cancel = nullptr)
       : runtime_(runtime),
         stats_(stats),
         pool_(pool),
-        concurrent_sessions_(concurrent_sessions),
         trace_(trace),
         cancel_(cancel) {}
 
@@ -73,19 +64,15 @@ class Deduplicator {
   /// injected/internal error) leaves the runtime consistent: every entity
   /// and comparison claim this call took is released or abandoned before
   /// the error returns, and the entities stay unmarked-resolved. The
-  /// concurrent path stages its evaluation, so a failed transaction
-  /// publishes nothing; the serial path writes links as it matches, so
-  /// links found before the failure remain — each is a genuine match, and
-  /// the unresolved marks make a later session finish the remainder.
+  /// evaluation is staged, so a failed transaction publishes nothing: the
+  /// Link Index's links and epoch are as they were before the call.
   Result<std::vector<EntityId>> Resolve(
       const std::vector<EntityId>& query_entities,
       std::vector<EntityId>* group_keys = nullptr);
 
  private:
-  Result<std::vector<EntityId>> ResolveSerial(
-      const std::vector<EntityId>& query_entities,
-      std::vector<EntityId>* group_keys);
-  Result<std::vector<EntityId>> ResolveConcurrent(
+  /// Resolve's body: the claim loop and DR_E's assembly.
+  Result<std::vector<EntityId>> ResolveTransaction(
       const std::vector<EntityId>& query_entities,
       std::vector<EntityId>* group_keys);
   /// Runs the pipeline over this session's claimed entities and publishes
@@ -105,7 +92,6 @@ class Deduplicator {
   TableRuntime* runtime_;
   ExecStats* stats_;
   ThreadPool* pool_;
-  bool concurrent_sessions_;
   TraceSink* trace_;
   const CancelContext* cancel_;
 };

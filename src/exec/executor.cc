@@ -54,8 +54,7 @@ OperatorCategory CategoryOf(PlanKind kind) {
 }  // namespace
 
 Executor::Executor(const Catalog* catalog, RuntimeRegistry* runtimes,
-                   ExecStats* stats, ThreadPool* pool,
-                   bool concurrent_sessions, std::size_t batch_size,
+                   ExecStats* stats, ThreadPool* pool, std::size_t batch_size,
                    std::shared_ptr<const std::atomic<bool>> session_cancel,
                    PlanProfile* profile, std::shared_ptr<TraceSink> trace,
                    std::shared_ptr<const CancelContext> cancel)
@@ -63,7 +62,6 @@ Executor::Executor(const Catalog* catalog, RuntimeRegistry* runtimes,
       runtimes_(runtimes),
       stats_(stats),
       pool_(pool),
-      concurrent_sessions_(concurrent_sessions),
       batch_size_(batch_size == 0 ? 1 : batch_size),
       session_cancel_(std::move(session_cancel)),
       profile_(profile),
@@ -179,8 +177,8 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       QUERYER_ASSIGN_OR_RETURN(std::shared_ptr<TableRuntime> runtime,
                                FindRuntime(*runtimes_, plan.table_name));
       OperatorPtr op(new DeduplicateOp(std::move(child), std::move(runtime),
-                                       stats_, pool_, concurrent_sessions_,
-                                       batch_size_, trace_, cancel_));
+                                       stats_, pool_, batch_size_, trace_,
+                                       cancel_));
       op->set_profile(node);
       return op;
     }
@@ -203,7 +201,7 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       OperatorPtr op(new DedupJoinOp(
           std::move(left), std::move(right), std::move(left_key),
           std::move(right_key), plan.dirty_side, std::move(runtime), stats_,
-          pool_, concurrent_sessions_, batch_size_, trace_, cancel_));
+          pool_, batch_size_, trace_, cancel_));
       op->set_profile(node);
       return op;
     }

@@ -37,10 +37,7 @@ class Executor {
  public:
   /// `pool` is handed to the ER operators for their data-parallel phases
   /// and to TableScan for morsel-parallel scans (null = sequential
-  /// execution, the default for direct construction).
-  /// `concurrent_sessions` makes the ER operators resolve through the
-  /// claim/publish transaction protocol; set it whenever other executors
-  /// may run against the same runtimes concurrently. `batch_size` is the
+  /// execution, the default for direct construction). `batch_size` is the
   /// RowBatch capacity of the whole pipeline (EngineOptions::batch_size).
   /// `session_cancel` (may be null) is the session-level cancellation flag
   /// linked into every morsel-driven operator's reorder window
@@ -52,7 +49,7 @@ class Executor {
   /// — cancel flag + deadline — handed to the ER operators, whose
   /// comparison loops poll it so Cancel() / deadlines pre-empt resolution.
   Executor(const Catalog* catalog, RuntimeRegistry* runtimes, ExecStats* stats,
-           ThreadPool* pool = nullptr, bool concurrent_sessions = false,
+           ThreadPool* pool = nullptr,
            std::size_t batch_size = kDefaultBatchSize,
            std::shared_ptr<const std::atomic<bool>> session_cancel = nullptr,
            PlanProfile* profile = nullptr,
@@ -90,7 +87,6 @@ class Executor {
   RuntimeRegistry* runtimes_;
   ExecStats* stats_;
   ThreadPool* pool_;
-  bool concurrent_sessions_;
   std::size_t batch_size_;
   std::shared_ptr<const std::atomic<bool>> session_cancel_;
   PlanProfile* profile_;

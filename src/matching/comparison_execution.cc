@@ -1,5 +1,8 @@
 #include "matching/comparison_execution.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/failpoint.h"
 #include "matching/comparison_kernel.h"
 
@@ -7,34 +10,13 @@ namespace queryer {
 
 namespace {
 
-Result<ComparisonExecStats> ExecuteComparisonsSequential(
-    const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, LinkIndex* link_index,
-    const AttributeWeights* weights, const CancelContext* cancel) {
-  // The same site as the parallel chunk bodies: a sequential execution is
-  // one chunk, so chaos specs behave uniformly across engine widths.
-  QUERYER_FAILPOINT("er.comparison_chunk");
-  ComparisonKernel kernel(table, comparisons.data(),
-                          comparisons.data() + comparisons.size(), config,
-                          weights);
-  ComparisonExecStats stats;
-  std::size_t visited = 0;
-  for (const auto& [a, b] : comparisons) {
-    if (cancel != nullptr && visited % CancelContext::kPollInterval == 0) {
-      QUERYER_RETURN_NOT_OK(cancel->Check());
-    }
-    ++visited;
-    if (link_index->AreLinked(a, b)) {
-      ++stats.skipped_linked;
-      continue;
-    }
-    ++stats.executed;
-    if (kernel.Similarity(a, b) >= config.threshold) {
-      link_index->AddLink(a, b);
-      ++stats.matches_found;
-    }
+// Union-find over dense indices with path halving.
+EntityId FindRoot(std::vector<EntityId>& parent, EntityId x) {
+  while (parent[x] != x) {
+    parent[x] = parent[parent[x]];
+    x = parent[x];
   }
-  return stats;
+  return x;
 }
 
 }  // namespace
@@ -48,8 +30,8 @@ Result<StagedComparisons> EvaluateComparisons(
   if (comparisons.empty()) return staged;
 
   struct ChunkResult {
-    std::vector<Comparison> pending;
     std::vector<Comparison> matched;
+    std::size_t executed = 0;
     std::size_t skipped_linked = 0;
   };
   const bool parallel = pool != nullptr && pool->num_threads() >= 2 &&
@@ -66,36 +48,69 @@ Result<StagedComparisons> EvaluateComparisons(
         QUERYER_FAILPOINT("er.comparison_chunk");
         ChunkResult& result = results[chunk];
         // Pass 1, under one shared snapshot per chunk: drop pairs that are
-        // already linked. Separated from the similarity pass so the shared
-        // lock covers only cheap forest walks and concurrent publishers are
-        // not stalled behind string similarity computation.
+        // already linked and key each survivor's two endpoints by their
+        // snapshot representative, (representative << 32 | endpoint slot).
+        // Separated from the similarity pass so the shared lock covers only
+        // cheap forest walks and concurrent publishers are not stalled
+        // behind string similarity computation.
+        std::vector<Comparison> pending;
+        std::vector<std::uint64_t> keys;
+        keys.reserve(2 * (end - begin));
         {
           LinkIndex::ReadView view = link_index.SharedSnapshot();
           for (std::size_t i = begin; i < end; ++i) {
             const auto& [a, b] = comparisons[i];
-            if (view.AreLinked(a, b)) {
+            const EntityId rep_a = view.Representative(a);
+            const EntityId rep_b = view.Representative(b);
+            if (rep_a == rep_b) {
               ++result.skipped_linked;
-            } else {
-              result.pending.emplace_back(a, b);
+              continue;
             }
+            const std::uint64_t slot = 2 * pending.size();
+            keys.push_back(std::uint64_t{rep_a} << 32 | slot);
+            keys.push_back(std::uint64_t{rep_b} << 32 | (slot + 1));
+            pending.emplace_back(a, b);
           }
         }
+        // The chunk-local overlay: union-find over the distinct snapshot
+        // representatives, numbered densely by rank; node[2 i] and
+        // node[2 i + 1] are pending pair i's endpoints (a slot fits the
+        // key's low 32 bits: a chunk holds far fewer than 2^31 pairs). The
+        // snapshot plus the overlay's unions is the live index the chunk's
+        // matches would have built, so a pair linked transitively by an
+        // earlier match of the chunk is skipped, not evaluated.
+        std::sort(keys.begin(), keys.end());
+        std::vector<EntityId> node(keys.size());
+        EntityId rank = 0;
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          if (k > 0 && keys[k] >> 32 != keys[k - 1] >> 32) ++rank;
+          node[static_cast<std::uint32_t>(keys[k])] = rank;
+        }
+        std::vector<EntityId> overlay(keys.empty() ? 0 : rank + 1);
+        std::iota(overlay.begin(), overlay.end(), EntityId{0});
+
         // Pass 2, lock-free: evaluate the survivors and buffer the matches.
         // The cancel poll lives here because this pass is where a cold-LI
         // resolution spends its seconds. The chunk owns its kernel, so the
         // workers share nothing.
-        ComparisonKernel kernel(table, result.pending.data(),
-                                result.pending.data() + result.pending.size(),
-                                config, weights);
-        std::size_t evaluated = 0;
-        for (const auto& [a, b] : result.pending) {
-          if (cancel != nullptr &&
-              evaluated % CancelContext::kPollInterval == 0) {
+        ComparisonKernel kernel(table, pending.data(),
+                                pending.data() + pending.size(), config,
+                                weights);
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+          if (cancel != nullptr && i % CancelContext::kPollInterval == 0) {
             QUERYER_RETURN_NOT_OK(cancel->Check());
           }
-          ++evaluated;
+          const EntityId root_a = FindRoot(overlay, node[2 * i]);
+          const EntityId root_b = FindRoot(overlay, node[2 * i + 1]);
+          if (root_a == root_b) {
+            ++result.skipped_linked;
+            continue;
+          }
+          ++result.executed;
+          const auto& [a, b] = pending[i];
           if (kernel.Similarity(a, b) >= config.threshold) {
             result.matched.emplace_back(a, b);
+            overlay[root_a] = root_b;
           }
         }
         return Status::OK();
@@ -107,37 +122,12 @@ Result<StagedComparisons> EvaluateComparisons(
   // Assemble in chunk order: deterministic for a given input order no
   // matter how the chunks were scheduled.
   for (ChunkResult& result : results) {
-    staged.executed += result.pending.size();
+    staged.executed += result.executed;
     staged.skipped_linked += result.skipped_linked;
     staged.matched.insert(staged.matched.end(), result.matched.begin(),
                           result.matched.end());
   }
   return staged;
-}
-
-Result<ComparisonExecStats> ExecuteComparisons(
-    const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, LinkIndex* link_index,
-    const AttributeWeights* weights, ThreadPool* pool,
-    const CancelContext* cancel) {
-  if (pool == nullptr || pool->num_threads() < 2 ||
-      comparisons.size() < kParallelComparisonThreshold) {
-    return ExecuteComparisonsSequential(table, comparisons, config, link_index,
-                                        weights, cancel);
-  }
-  // Parallel path: staged read-only evaluation, then one exclusive publish.
-  // Matches whose endpoints were linked transitively by an earlier buffered
-  // link are no-op merges, so matches_found counts exactly the merges the
-  // sequential loop performs.
-  QUERYER_ASSIGN_OR_RETURN(
-      StagedComparisons staged,
-      EvaluateComparisons(table, comparisons, config, *link_index, weights,
-                          pool, cancel));
-  ComparisonExecStats stats;
-  stats.executed = staged.executed;
-  stats.skipped_linked = staged.skipped_linked;
-  stats.matches_found = link_index->PublishLinks(staged.matched);
-  return stats;
 }
 
 }  // namespace queryer

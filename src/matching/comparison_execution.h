@@ -1,6 +1,8 @@
 // Comparison-Execution (paper Sec. 6.1(iv)): runs the comparisons that
-// survived Meta-Blocking, records matches in the Link Index, and reports
-// the executed-comparison count that the paper's evaluation tracks.
+// survived Meta-Blocking and reports the executed-comparison count that the
+// paper's evaluation tracks. Evaluation is read-only on the Link Index; the
+// caller publishes the staged matches with LinkIndex::PublishLinks, so a
+// run amends the index all at once or not at all.
 
 #ifndef QUERYER_MATCHING_COMPARISON_EXECUTION_H_
 #define QUERYER_MATCHING_COMPARISON_EXECUTION_H_
@@ -18,86 +20,55 @@
 
 namespace queryer {
 
-/// \brief Counters of one Comparison-Execution run.
-struct ComparisonExecStats {
-  /// Comparisons actually evaluated with the similarity function.
-  std::size_t executed = 0;
-  /// Comparisons skipped because the pair was already linked in LI.
-  std::size_t skipped_linked = 0;
-  std::size_t matches_found = 0;
-};
-
-/// \brief Outcome of the staged (read-only) evaluation used by concurrent
-/// query sessions: matches are buffered instead of written, so the caller
-/// can publish them to the Link Index in one short exclusive section.
+/// \brief Outcome of one staged evaluation: matches are buffered instead of
+/// written, so the caller can publish them to the Link Index in one short
+/// exclusive section.
 struct StagedComparisons {
   /// Pairs whose profile similarity cleared the matching threshold, in
   /// input order.
   std::vector<Comparison> matched;
+  /// Comparisons actually evaluated with the similarity function.
   std::size_t executed = 0;
+  /// Comparisons skipped because the pair was already linked.
   std::size_t skipped_linked = 0;
 };
 
 /// Below this many comparisons the parallel path is not worth its task
-/// submission and merge overhead; the sequential loop runs instead.
+/// submission and merge overhead; the comparisons run as one chunk.
 inline constexpr std::size_t kParallelComparisonThreshold = 256;
 
-/// \brief Executes the comparisons, amending `link_index` with new links.
-///
-/// A pair already linked in the index is not re-compared (its outcome is
-/// known), which is how the LI makes repeated/overlapping queries cheaper.
-/// `weights` are the table's attribute-distinctiveness weights (may be
-/// null for uniform weighting).
-///
-/// With a multi-worker `pool` and enough comparisons the run is split into
-/// two phases: a parallel read-only phase (EvaluateComparisons) that
-/// partitions the comparison list into contiguous chunks and evaluates each
-/// chunk against a shared snapshot of the Link Index (no writes), buffering
-/// the matches per chunk; then a single exclusive publish that applies the
-/// buffered links in chunk order. The resulting clustering — and therefore the query answer,
-/// LinkIndex::num_links() and `matches_found` — is identical to the
-/// sequential path: pairs the sequential loop skips because an earlier
-/// comparison of the same run linked them transitively are no-op merges
-/// here. Only `executed` / `skipped_linked` may differ (the parallel phase
-/// skips against the snapshot at phase start, so it can evaluate a superset
-/// of the sequential pairs).
-///
-/// `cancel` (optional) is polled every CancelContext::kPollInterval
-/// comparisons; on Cancelled/DeadlineExceeded the run stops early with that
-/// Status. The parallel path stages its matches and publishes only on
-/// success, so a failed parallel run leaves the index untouched; the
-/// sequential path writes links as it matches, so comparisons evaluated
-/// before the cancel may already be published. That partial publish keeps
-/// the index consistent — every published link is a genuine match — and the
-/// caller leaves the entities unmarked-resolved, so a later session redoes
-/// the remainder. Errors injected at the `er.comparison_chunk` failpoint
-/// surface the same way.
-Result<ComparisonExecStats> ExecuteComparisons(
-    const Table& table, const std::vector<Comparison>& comparisons,
-    const MatchingConfig& config, LinkIndex* link_index,
-    const AttributeWeights* weights = nullptr, ThreadPool* pool = nullptr,
-    const CancelContext* cancel = nullptr);
-
 /// \brief Read-only comparison evaluation against a shared snapshot of
-/// `link_index` — the staged half of the concurrent-session protocol.
+/// `link_index`. `weights` are the table's attribute-distinctiveness
+/// weights (may be null for uniform weighting).
 ///
-/// Never writes the index: pairs already linked are skipped (counted in
-/// `skipped_linked`, consulting a shared snapshot taken per chunk so the
-/// skip check stays cheap while concurrent publishers make progress), the
-/// rest are evaluated and the matches buffered for the caller to publish
-/// with LinkIndex::PublishLinks. Safe to call from any number of sessions
-/// while others publish. The skip check is an optimization against a
-/// possibly stale snapshot: evaluating an already-linked pair only yields a
-/// no-op merge at publish time, so the final clustering is unaffected.
+/// Never writes the index. The comparisons are split into contiguous
+/// chunks (one chunk without a multi-worker `pool` or below
+/// kParallelComparisonThreshold pairs). Each chunk runs two passes:
 ///
-/// With a multi-worker `pool` and enough comparisons the chunks run in
-/// parallel; `matched` is assembled in chunk order either way, so the
-/// staged buffer is deterministic for a given input order.
+///  1. Under one shared snapshot, drop the pairs already linked and record
+///     each survivor's two snapshot representatives.
+///  2. Without the lock, evaluate the survivors in input order against a
+///     chunk-local union-find overlay over those representatives: a pair
+///     the overlay already joins was linked transitively by an earlier
+///     match of the same chunk and is skipped; a match joins its pair.
 ///
-/// `cancel` is polled inside the similarity pass (every
-/// CancelContext::kPollInterval comparisons, per chunk); the first failing
-/// chunk's Status wins, exactly like ParallelFor's first-error-wins rule,
-/// so a cancelled evaluation reports deterministically.
+/// Both kinds of skip count in `skipped_linked`. A pair already linked is
+/// not re-compared (its outcome is known), which is how the Link Index
+/// makes repeated and overlapping queries cheaper. With one chunk and no
+/// concurrent publisher, `executed`, `skipped_linked` and the merges that
+/// publishing `matched` performs are exactly those of evaluating the pairs
+/// one by one against a live index that each match amends. With N chunks a
+/// chunk does not see its siblings' matches, so it may evaluate a pair an
+/// earlier chunk linked; publishing such a match is a no-op merge, so the
+/// clustering is the same. Concurrent publishers are handled the same way:
+/// the snapshot may be stale, which only costs no-op merges.
+///
+/// `matched` is assembled in chunk order, so the staged buffer is
+/// deterministic for a given input order. `cancel` (optional) is polled
+/// every CancelContext::kPollInterval evaluated pairs per chunk; the first
+/// failing chunk's Status wins, like ParallelFor's first-error-wins rule.
+/// Errors injected at the `er.comparison_chunk` failpoint surface the same
+/// way. A failed evaluation has staged nothing anyone can publish.
 Result<StagedComparisons> EvaluateComparisons(
     const Table& table, const std::vector<Comparison>& comparisons,
     const MatchingConfig& config, const LinkIndex& link_index,

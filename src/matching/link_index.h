@@ -90,10 +90,6 @@ class LinkIndex {
   /// True when a and b are in the same (transitively closed) cluster.
   bool AreLinked(EntityId a, EntityId b) const;
 
-  /// Alias of AreLinked, kept from the time when only this accessor was
-  /// safe under concurrent readers (every read accessor is now).
-  bool AreLinkedShared(EntityId a, EntityId b) const { return AreLinked(a, b); }
-
   /// Canonical cluster id of an entity; equal for all cluster members.
   EntityId Representative(EntityId e) const;
 
@@ -118,8 +114,8 @@ class LinkIndex {
   /// Applies one query's staged link buffer under a single exclusive
   /// section. Returns the number of clusters actually merged (links whose
   /// endpoints were already connected — by this batch or a concurrent
-  /// query — are no-op merges), which is what the sequential path counts
-  /// as matches.
+  /// query — are no-op merges), which is what the resolution counts as
+  /// matches.
   std::size_t PublishLinks(const std::vector<Link>& links);
 
   /// Marks a batch of entities resolved under one exclusive section.

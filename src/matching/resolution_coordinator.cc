@@ -1,6 +1,7 @@
 #include "matching/resolution_coordinator.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/failpoint.h"
 
@@ -57,23 +58,67 @@ void ResolutionCoordinator::AwaitEntities(
   });
 }
 
+std::vector<std::uint64_t> ResolutionCoordinator::SortedKeys(
+    const std::vector<Link>& links) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(links.size());
+  for (const Link& link : links) keys.push_back(KeyOf(link));
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+bool ResolutionCoordinator::InFlight(std::uint64_t key) const {
+  return std::binary_search(comparisons_in_flight_.begin(),
+                            comparisons_in_flight_.end(), key);
+}
+
+void ResolutionCoordinator::RemoveInFlight(const std::vector<Link>& owned) {
+  // The owner's pairs are all in flight, so when the counts agree nothing
+  // else is: the common single-session case clears without sorting.
+  if (owned.size() == comparisons_in_flight_.size()) {
+    comparisons_in_flight_.clear();
+    return;
+  }
+  const std::vector<std::uint64_t> keys = SortedKeys(owned);
+  std::vector<std::uint64_t> rest;
+  rest.reserve(comparisons_in_flight_.size() - owned.size());
+  std::set_difference(comparisons_in_flight_.begin(),
+                      comparisons_in_flight_.end(), keys.begin(), keys.end(),
+                      std::back_inserter(rest));
+  comparisons_in_flight_.swap(rest);
+}
+
 ResolutionCoordinator::ComparisonClaim
 ResolutionCoordinator::ClaimComparisons(const std::vector<Link>& comparisons) {
   // Before any claim-table mutation: an injected failure here must leave
   // nothing to clean up (the session fails with zero pairs claimed).
   QUERYER_FAILPOINT_THROW("coordinator.claim_comparisons");
+  // Sorted outside the lock; merged into the sorted in-flight table below.
+  std::vector<std::uint64_t> keys = SortedKeys(comparisons);
   ComparisonClaim claim;
   claim.owned.reserve(comparisons.size());
   std::lock_guard<std::mutex> lock(mutex_);
   for (const Link& pair : comparisons) {
-    std::uint64_t key = KeyOf(pair);
-    if (comparisons_in_flight_.insert(key).second) {
-      // A fresh claim also adopts a pair a failed session abandoned: the
-      // new owner evaluates it, so it must leave the adoption pool.
-      comparisons_abandoned_.erase(key);
-      claim.owned.push_back(pair);
-    } else {
-      claim.foreign.push_back(pair);
+    (InFlight(KeyOf(pair)) ? claim.foreign : claim.owned).push_back(pair);
+  }
+  if (comparisons_in_flight_.empty()) {
+    comparisons_in_flight_ = std::move(keys);
+  } else {
+    // In flight ∪ ours: the foreign keys are already in the table.
+    std::vector<std::uint64_t> merged;
+    merged.reserve(comparisons_in_flight_.size() + claim.owned.size());
+    std::set_union(comparisons_in_flight_.begin(),
+                   comparisons_in_flight_.end(), keys.begin(), keys.end(),
+                   std::back_inserter(merged));
+    comparisons_in_flight_.swap(merged);
+  }
+  // A fresh claim also adopts a pair a failed session abandoned: the new
+  // owner evaluates it, so it leaves the adoption pool — only once it is in
+  // flight, so a failed merge never leaves a pair neither in flight nor
+  // abandoned.
+  if (!comparisons_abandoned_.empty()) {
+    for (const Link& pair : claim.owned) {
+      comparisons_abandoned_.erase(KeyOf(pair));
     }
   }
   return claim;
@@ -86,7 +131,7 @@ void ResolutionCoordinator::ReleaseComparisons(const std::vector<Link>& owned) {
   if (owned.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Link& pair : owned) comparisons_in_flight_.erase(KeyOf(pair));
+    RemoveInFlight(owned);
   }
   released_.notify_all();
 }
@@ -95,11 +140,8 @@ void ResolutionCoordinator::AbandonComparisons(const std::vector<Link>& owned) {
   if (owned.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Link& pair : owned) {
-      std::uint64_t key = KeyOf(pair);
-      comparisons_in_flight_.erase(key);
-      comparisons_abandoned_.insert(key);
-    }
+    RemoveInFlight(owned);
+    for (const Link& pair : owned) comparisons_abandoned_.insert(KeyOf(pair));
   }
   released_.notify_all();
 }
@@ -124,11 +166,14 @@ std::vector<ResolutionCoordinator::Link> ResolutionCoordinator::AwaitComparisons
         // unclaimed, not in flight under nobody.
         adopted.push_back(pair);
         adopted_keys.insert(key);
-        comparisons_in_flight_.insert(key);
+        comparisons_in_flight_.insert(
+            std::lower_bound(comparisons_in_flight_.begin(),
+                             comparisons_in_flight_.end(), key),
+            key);
         comparisons_abandoned_.erase(key);
         continue;
       }
-      if (comparisons_in_flight_.count(key) > 0) settled = false;
+      if (InFlight(key)) settled = false;
     }
     return settled;
   });

@@ -71,7 +71,7 @@ class ResolutionCoordinator {
   /// path (resolution threw), release WITHOUT marking resolved: unlike
   /// comparisons, entity state is re-checkable, so a waiter re-claims the
   /// still-unresolved leftovers by looping ClaimEntities after
-  /// AwaitEntities (see Deduplicator::ResolveConcurrent).
+  /// AwaitEntities (see Deduplicator::Resolve).
   void ReleaseEntities(const std::vector<EntityId>& claimed);
 
   /// Blocks until none of `foreign` is claimed by any in-flight session.
@@ -118,11 +118,17 @@ class ResolutionCoordinator {
 
  private:
   static std::uint64_t KeyOf(const Link& link);
+  static std::vector<std::uint64_t> SortedKeys(const std::vector<Link>& links);
+  // Both under mutex_.
+  bool InFlight(std::uint64_t key) const;
+  void RemoveInFlight(const std::vector<Link>& owned);
 
   std::mutex mutex_;
   std::condition_variable released_;
   std::unordered_set<EntityId> entities_in_flight_;
-  std::unordered_set<std::uint64_t> comparisons_in_flight_;
+  // Sorted pair keys: a claim costs one sort of the session's pairs and a
+  // merge, with no per-pair allocation (a query claims thousands).
+  std::vector<std::uint64_t> comparisons_in_flight_;
   // Pairs whose owner failed before publishing; adopted by the next
   // session that waits on them.
   std::unordered_set<std::uint64_t> comparisons_abandoned_;

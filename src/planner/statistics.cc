@@ -255,11 +255,12 @@ double StatisticsCache::DuplicationFactor(TableRuntime* runtime) {
                       runtime->thread_pool());
   LinkIndex scratch(n);
   // Offline statistic with no cancel context: failure is impossible here
-  // outside injected chaos, and an injected one just degrades the sample
-  // to whatever was linked before the failure.
-  (void)ExecuteComparisons(table, refined.comparisons,
-                           runtime->matching_config(), &scratch,
-                           &runtime->attribute_weights());
+  // outside injected chaos, and an injected evaluation failure links
+  // nothing, degrading the sample to a duplication factor of 1.
+  Result<StagedComparisons> staged = EvaluateComparisons(
+      table, refined.comparisons, runtime->matching_config(), scratch,
+      &runtime->attribute_weights());
+  if (staged.ok()) scratch.PublishLinks(staged->matched);
   std::set<EntityId> dr;
   for (EntityId e : sample) {
     for (EntityId member : scratch.Cluster(e)) dr.insert(member);

@@ -508,8 +508,9 @@ TEST_F(CursorTest, DeadlineMidResolutionPreemptsAndLeavesNoClaims) {
   auto reference = reference_engine->Execute(dedup);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  // max_concurrent=2 selects the concurrent claim/publish protocol, so the
-  // pre-emption exercises claim release, not just the serial early-out.
+  // max_concurrent=2 lets the engine admit a second session beside this
+  // one; every session resolves through the claim/publish transaction, so
+  // the pre-emption exercises claim release either way.
   auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16,
                            /*num_threads=*/1, /*max_concurrent=*/2,
                            /*deadline=*/0.25);

@@ -205,7 +205,6 @@ TEST(DeduplicatorCancelTest, LoopTopCancelReleasesHeldEntityClaims) {
 
   ExecStats stats;
   Deduplicator cancelled_session(&runtime, &stats, /*pool=*/nullptr,
-                                 /*concurrent_sessions=*/true,
                                  /*trace=*/nullptr, &cancel);
   std::vector<EntityId> entities;
   for (EntityId e = 0; e < 20; ++e) entities.push_back(e);
@@ -219,7 +218,7 @@ TEST(DeduplicatorCancelTest, LoopTopCancelReleasesHeldEntityClaims) {
   // resolve them to completion instead of hanging in AwaitEntities.
   flag->store(false);
   ExecStats retry_stats;
-  Deduplicator retry_session(&runtime, &retry_stats, nullptr, true, nullptr,
+  Deduplicator retry_session(&runtime, &retry_stats, nullptr, nullptr,
                              &cancel);
   auto resolved = retry_session.Resolve(entities);
   ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
@@ -294,55 +293,71 @@ datagen::GeneratedDataset* FaultInjectionTest::oagv_ = nullptr;
 Rows* FaultInjectionTest::reference_rows_ = nullptr;
 
 // An injected comparison-chunk failure aborts the resolution transaction:
-// the session fails with a message naming the site and the session, no
-// coordinator claim survives, and — because nothing was published — a
-// fault-free retry on the same engine matches the clean reference.
+// the session fails with a message naming the site and the session, the
+// Link Index is untouched, no coordinator claim survives, and — because
+// nothing was published — a fault-free retry on the same engine matches the
+// clean reference. The single-session engine runs the same transaction as
+// a concurrent one, so both widths must behave alike.
 TEST_F(FaultInjectionTest, ChunkFailureAbandonsClaimsAndEngineRecovers) {
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                           /*num_threads=*/1, /*max_concurrent=*/2);
-  {
-    ScopedFailpoint armed("er.comparison_chunk", "error");
-    auto cursor = engine->ExecuteStream(kDedupQuery);
-    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-    RowBatch batch((*cursor)->batch_size());
-    auto has = (*cursor)->Next(&batch);
-    ASSERT_FALSE(has.ok());
-    EXPECT_NE(has.status().message().find("er.comparison_chunk"),
-              std::string::npos)
-        << has.status().ToString();
-    EXPECT_NE(has.status().message().find("session"), std::string::npos)
-        << has.status().ToString();
-    (*cursor)->Close();
+  for (std::size_t max_concurrent : {1, 2}) {
+    SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
+    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
+                             /*num_threads=*/1, max_concurrent);
+    auto runtime = engine->GetRuntime("dsd");
+    ASSERT_TRUE(runtime.ok());
+    const std::size_t links_before = (*runtime)->link_index().num_links();
+    const std::uint64_t epoch_before = (*runtime)->link_index().epoch();
+    {
+      ScopedFailpoint armed("er.comparison_chunk", "error");
+      auto cursor = engine->ExecuteStream(kDedupQuery);
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      RowBatch batch((*cursor)->batch_size());
+      auto has = (*cursor)->Next(&batch);
+      ASSERT_FALSE(has.ok());
+      EXPECT_NE(has.status().message().find("er.comparison_chunk"),
+                std::string::npos)
+          << has.status().ToString();
+      EXPECT_NE(has.status().message().find("session"), std::string::npos)
+          << has.status().ToString();
+      (*cursor)->Close();
+    }
+    EXPECT_EQ((*runtime)->link_index().num_links(), links_before);
+    EXPECT_EQ((*runtime)->link_index().epoch(), epoch_before);
+    ExpectNoClaims(engine.get(), {"dsd"});
+    auto retry = engine->Execute(kDedupQuery);
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_EQ(retry->rows, *reference_rows_);
   }
-  ExpectNoClaims(engine.get(), {"dsd"});
-  auto retry = engine->Execute(kDedupQuery);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_EQ(retry->rows, *reference_rows_);
 }
 
 // li.publish throws BEFORE any mutation (all-or-nothing publish): a failed
 // session leaves link count and epoch exactly where they were, and the
-// fault-free retry still answers identically to the clean reference.
+// fault-free retry still answers identically to the clean reference — on
+// the single-session engine as on a concurrent one.
 TEST_F(FaultInjectionTest, PublishFailureLeavesLinkIndexUntouched) {
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                           /*num_threads=*/1, /*max_concurrent=*/2);
-  auto runtime = engine->GetRuntime("dsd");
-  ASSERT_TRUE(runtime.ok());
-  const std::size_t links_before = (*runtime)->link_index().num_links();
-  const std::uint64_t epoch_before = (*runtime)->link_index().epoch();
-  {
-    ScopedFailpoint armed("li.publish", "throw");
-    auto failed = engine->Execute(kDedupQuery);
-    ASSERT_FALSE(failed.ok());
-    EXPECT_NE(failed.status().message().find("li.publish"), std::string::npos)
-        << failed.status().ToString();
+  for (std::size_t max_concurrent : {1, 2}) {
+    SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
+    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
+                             /*num_threads=*/1, max_concurrent);
+    auto runtime = engine->GetRuntime("dsd");
+    ASSERT_TRUE(runtime.ok());
+    const std::size_t links_before = (*runtime)->link_index().num_links();
+    const std::uint64_t epoch_before = (*runtime)->link_index().epoch();
+    {
+      ScopedFailpoint armed("li.publish", "throw");
+      auto failed = engine->Execute(kDedupQuery);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_NE(failed.status().message().find("li.publish"),
+                std::string::npos)
+          << failed.status().ToString();
+    }
+    EXPECT_EQ((*runtime)->link_index().num_links(), links_before);
+    EXPECT_EQ((*runtime)->link_index().epoch(), epoch_before);
+    ExpectNoClaims(engine.get(), {"dsd"});
+    auto retry = engine->Execute(kDedupQuery);
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_EQ(retry->rows, *reference_rows_);
   }
-  EXPECT_EQ((*runtime)->link_index().num_links(), links_before);
-  EXPECT_EQ((*runtime)->link_index().epoch(), epoch_before);
-  ExpectNoClaims(engine.get(), {"dsd"});
-  auto retry = engine->Execute(kDedupQuery);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_EQ(retry->rows, *reference_rows_);
 }
 
 // A claim-transaction failure (coordinator.claim_comparisons throws before

@@ -313,14 +313,15 @@ TEST(ComparisonExecutionTest, FindsMotivatingDuplicates) {
   // Compare P6 vs P7 vs P8 (true duplicates) and P1 vs P6 (not duplicates).
   std::vector<Comparison> comparisons = {{5, 6}, {5, 7}, {0, 5}};
   MatchingConfig config = TestConfig();
-  ComparisonExecStats stats =
-      *ExecuteComparisons(*p.table, comparisons, config, &li);
-  EXPECT_EQ(stats.executed, 3u);
+  StagedComparisons staged =
+      *EvaluateComparisons(*p.table, comparisons, config, li);
+  EXPECT_EQ(staged.executed, 3u);
+  EXPECT_EQ(li.num_links(), 0u);  // Evaluation never writes the index.
+  EXPECT_EQ(li.PublishLinks(staged.matched), 2u);
   EXPECT_TRUE(li.AreLinked(5, 6));
   EXPECT_TRUE(li.AreLinked(5, 7));
   EXPECT_TRUE(li.AreLinked(6, 7));  // Transitive.
   EXPECT_FALSE(li.AreLinked(0, 5));
-  EXPECT_EQ(stats.matches_found, 2u);
 }
 
 TEST(ComparisonExecutionTest, SkipsAlreadyLinkedPairs) {
@@ -328,10 +329,26 @@ TEST(ComparisonExecutionTest, SkipsAlreadyLinkedPairs) {
   LinkIndex li(p.table->num_rows());
   li.AddLink(5, 6);
   std::vector<Comparison> comparisons = {{5, 6}};
-  ComparisonExecStats stats =
-      *ExecuteComparisons(*p.table, comparisons, TestConfig(), &li);
-  EXPECT_EQ(stats.executed, 0u);
-  EXPECT_EQ(stats.skipped_linked, 1u);
+  StagedComparisons staged =
+      *EvaluateComparisons(*p.table, comparisons, TestConfig(), li);
+  EXPECT_EQ(staged.executed, 0u);
+  EXPECT_EQ(staged.skipped_linked, 1u);
+  EXPECT_EQ(li.PublishLinks(staged.matched), 0u);
+}
+
+// The first two pairs match, so by the third {6, 7} is linked through them:
+// the chunk's overlay skips it exactly as a live index amended by each match
+// would, keeping the paper's executed-comparison count.
+TEST(ComparisonExecutionTest, SkipsPairsLinkedEarlierInTheSameRun) {
+  datagen::GeneratedDataset p = datagen::MakeMotivatingPublications();
+  LinkIndex li(p.table->num_rows());
+  std::vector<Comparison> comparisons = {{5, 6}, {5, 7}, {6, 7}};
+  StagedComparisons staged =
+      *EvaluateComparisons(*p.table, comparisons, TestConfig(), li);
+  EXPECT_EQ(staged.executed, 2u);
+  EXPECT_EQ(staged.skipped_linked, 1u);
+  EXPECT_EQ(li.PublishLinks(staged.matched), 2u);
+  EXPECT_TRUE(li.AreLinked(6, 7));
 }
 
 }  // namespace

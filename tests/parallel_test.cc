@@ -14,6 +14,7 @@
 #include "datagen/scholarly.h"
 #include "engine/query_engine.h"
 #include "matching/comparison_execution.h"
+#include "matching/comparison_kernel.h"
 #include "matching/link_index.h"
 #include "parallel/thread_pool.h"
 
@@ -156,18 +157,6 @@ TEST(ParallelForTest, InlineExceptionAlsoBecomesStatus) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
-TEST(LinkIndexTest, SharedReadMatchesHalvingRead) {
-  LinkIndex li(16);
-  li.AddLink(0, 1);
-  li.AddLink(1, 2);
-  li.AddLink(5, 9);
-  for (EntityId a = 0; a < 16; ++a) {
-    for (EntityId b = 0; b < 16; ++b) {
-      EXPECT_EQ(li.AreLinkedShared(a, b), li.AreLinked(a, b));
-    }
-  }
-}
-
 TEST(LinkIndexTest, AddLinkReportsMerges) {
   LinkIndex li(4);
   EXPECT_TRUE(li.AddLink(0, 1));
@@ -207,9 +196,44 @@ TEST(ParallelDeterminismTest, FourThreadsMatchSequential) {
   EXPECT_FALSE(rows1.empty());
 }
 
-// Comparison execution alone, parallel vs sequential, on top of links some
-// earlier "query" already resolved — the merge path must treat them as
-// skippable and end at the identical clustering.
+// The reference for the paper's comparison count: evaluate the pairs one by
+// one against a live index that every match amends, so a pair linked
+// transitively by an earlier match of the run is skipped, not evaluated.
+struct OneByOneCounts {
+  std::size_t executed = 0;
+  std::size_t skipped_linked = 0;
+  std::size_t merges = 0;
+};
+
+OneByOneCounts ResolveOneByOne(const Table& table,
+                               const std::vector<Comparison>& comparisons,
+                               const MatchingConfig& config,
+                               const AttributeWeights* weights,
+                               LinkIndex* link_index) {
+  ComparisonKernel kernel(table, comparisons.data(),
+                          comparisons.data() + comparisons.size(), config,
+                          weights);
+  OneByOneCounts counts;
+  for (const auto& [a, b] : comparisons) {
+    if (link_index->AreLinked(a, b)) {
+      ++counts.skipped_linked;
+      continue;
+    }
+    ++counts.executed;
+    if (kernel.Similarity(a, b) >= config.threshold) {
+      link_index->AddLink(a, b);
+      ++counts.merges;
+    }
+  }
+  return counts;
+}
+
+// Staged evaluation + one publish against the one-by-one reference, on top
+// of links some earlier "query" already resolved. One chunk must reproduce
+// the reference's counts exactly (the chunk overlay stands in for the live
+// index); a 4-worker pool ends at the identical clustering, evaluating no
+// fewer pairs than the reference and no more than the starting index left
+// unlinked.
 TEST(ParallelDeterminismTest, ComparisonExecutionMatchesSequential) {
   auto dsd = datagen::MakeDsdLike(800, 77);
   BlockingOptions blocking;
@@ -229,21 +253,45 @@ TEST(ParallelDeterminismTest, ComparisonExecutionMatchesSequential) {
   ASSERT_GE(comparisons.size(), kParallelComparisonThreshold);
   AttributeWeights weights = AttributeWeights::Compute(*dsd.table);
 
-  LinkIndex sequential(dsd.table->num_rows());
-  sequential.AddLink(0, 1);  // Pre-existing link from an "earlier query".
-  ComparisonExecStats seq_stats = *ExecuteComparisons(
-      *dsd.table, comparisons, matching, &sequential, &weights);
+  // Pre-existing links from an "earlier query".
+  const std::vector<Comparison> earlier = {{0, 1}, comparisons.front()};
+  LinkIndex reference(dsd.table->num_rows());
+  reference.PublishLinks(earlier);
+  std::size_t unlinked_at_start = 0;
+  for (const auto& [a, b] : comparisons) {
+    if (!reference.AreLinked(a, b)) ++unlinked_at_start;
+  }
+  const OneByOneCounts oracle =
+      ResolveOneByOne(*dsd.table, comparisons, matching, &weights, &reference);
+  ASSERT_GT(oracle.skipped_linked, 0u);
+  // The run itself links pairs it later meets: the overlay has work to do.
+  ASSERT_LT(oracle.executed, unlinked_at_start);
+
+  LinkIndex one_chunk(dsd.table->num_rows());
+  one_chunk.PublishLinks(earlier);
+  StagedComparisons serial =
+      *EvaluateComparisons(*dsd.table, comparisons, matching, one_chunk,
+                           &weights);
+  EXPECT_EQ(serial.executed, oracle.executed);
+  EXPECT_EQ(serial.skipped_linked, oracle.skipped_linked);
+  EXPECT_EQ(serial.matched.size(), oracle.merges);
+  EXPECT_EQ(one_chunk.PublishLinks(serial.matched), oracle.merges);
 
   ThreadPool pool(4);
-  LinkIndex parallel(dsd.table->num_rows());
-  parallel.AddLink(0, 1);
-  ComparisonExecStats par_stats = *ExecuteComparisons(
-      *dsd.table, comparisons, matching, &parallel, &weights, &pool);
+  LinkIndex chunked(dsd.table->num_rows());
+  chunked.PublishLinks(earlier);
+  StagedComparisons parallel = *EvaluateComparisons(
+      *dsd.table, comparisons, matching, chunked, &weights, &pool);
+  EXPECT_GE(parallel.executed, oracle.executed);
+  EXPECT_LE(parallel.executed, unlinked_at_start);
+  EXPECT_EQ(parallel.executed + parallel.skipped_linked, comparisons.size());
+  EXPECT_EQ(chunked.PublishLinks(parallel.matched), oracle.merges);
 
-  EXPECT_EQ(parallel.num_links(), sequential.num_links());
-  EXPECT_EQ(par_stats.matches_found, seq_stats.matches_found);
+  EXPECT_EQ(one_chunk.num_links(), reference.num_links());
+  EXPECT_EQ(chunked.num_links(), reference.num_links());
   for (EntityId e = 0; e < dsd.table->num_rows(); ++e) {
-    EXPECT_EQ(parallel.Cluster(e), sequential.Cluster(e));
+    EXPECT_EQ(one_chunk.Cluster(e), reference.Cluster(e));
+    EXPECT_EQ(chunked.Cluster(e), reference.Cluster(e));
   }
 }
 
