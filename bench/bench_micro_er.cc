@@ -183,14 +183,16 @@ BENCHMARK(BM_MetaBlockingColdSlice)
     ->Arg(7)
     ->Unit(benchmark::kMillisecond);
 
-void BM_LinkIndexAddFind(benchmark::State& state) {
+void BM_LinkIndexPublishFind(benchmark::State& state) {
+  std::vector<LinkIndex::Link> links;
+  for (EntityId e = 0; e + 1 < 10000; e += 2) links.emplace_back(e, e + 1);
   for (auto _ : state) {
     LinkIndex li(10000);
-    for (EntityId e = 0; e + 1 < 10000; e += 2) li.AddLink(e, e + 1);
+    li.PublishLinks(links);
     benchmark::DoNotOptimize(li.Cluster(5000));
   }
 }
-BENCHMARK(BM_LinkIndexAddFind);
+BENCHMARK(BM_LinkIndexPublishFind);
 
 // Engine-wide worker pool for the parallel micro benchmarks, sized by the
 // --threads flag (null = sequential path).
@@ -235,18 +237,6 @@ void BM_ComparisonExecution(benchmark::State& state) {
 // Wall time, not CPU time: with a pool the bench thread mostly sleeps while
 // the workers burn the cycles.
 BENCHMARK(BM_ComparisonExecution)->Arg(2000)->Arg(5000)->UseRealTime();
-
-void BM_TableBlockIndexBuildPooled(benchmark::State& state) {
-  auto dsd = datagen::MakeDsdLike(static_cast<std::size_t>(state.range(0)), 5);
-  BlockingOptions options;
-  options.excluded_attributes = {0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        TableBlockIndex::Build(*dsd.table, options, BenchPool()));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TableBlockIndexBuildPooled)->Arg(1000)->Arg(5000)->UseRealTime();
 
 }  // namespace
 }  // namespace queryer

@@ -1,15 +1,17 @@
 #include "blocking/token_blocking.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <stdexcept>
+#include <limits>
+#include <numeric>
 
 #include "common/string_util.h"
+#include "common/token_interner.h"
 
 namespace queryer {
 
 namespace {
+
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 bool IsExcluded(const BlockingOptions& options, std::size_t attribute) {
   return std::find(options.excluded_attributes.begin(),
@@ -19,96 +21,109 @@ bool IsExcluded(const BlockingOptions& options, std::size_t attribute) {
 
 }  // namespace
 
-std::vector<std::string> EntityBlockingKeys(const Table& table, EntityId entity,
-                                            const BlockingOptions& options) {
-  std::set<std::string> distinct;
+std::shared_ptr<TableBlockIndex> TableBlockIndex::Build(
+    const Table& table, const BlockingOptions& options) {
+  // Tokenize each distinct value of each blocked attribute once: the token
+  // ids of code c in blocked attribute i are
+  // value_tokens[value_begin[i][c] .. value_begin[i][c + 1]).
+  TokenInterner interner;
+  std::vector<CodeSpan> codes;
+  std::vector<std::vector<std::uint32_t>> value_begin;
+  std::vector<std::uint32_t> value_tokens;
+  std::string chars;
+  std::vector<std::uint32_t> ends;
   for (std::size_t a = 0; a < table.num_attributes(); ++a) {
     if (IsExcluded(options, a)) continue;
-    // ValueAt views straight into the column dictionary — tokenization
-    // never touches an owned row copy.
-    for (auto& token :
-         TokenizeAlnum(table.ValueAt(entity, a), options.min_token_length)) {
-      distinct.insert(std::move(token));
-    }
-  }
-  return {distinct.begin(), distinct.end()};
-}
-
-std::shared_ptr<TableBlockIndex> TableBlockIndex::Build(
-    const Table& table, const BlockingOptions& options, ThreadPool* pool) {
-  // Gather key -> entities with deterministic (key-sorted) block ids.
-  std::map<std::string, std::vector<EntityId>> buckets;
-  const bool parallel = pool != nullptr && pool->num_threads() >= 2 &&
-                        table.num_rows() >= 2 * pool->num_threads();
-  if (parallel) {
-    // Shard the token extraction by entity range; each worker buckets its
-    // own contiguous slice, then the shards merge in ascending shard order,
-    // which keeps every entity list ascending exactly as the sequential
-    // loop builds it.
-    std::vector<ChunkRange> shards =
-        SplitRange(table.num_rows(), pool->num_threads());
-    std::vector<std::map<std::string, std::vector<EntityId>>> shard_buckets(
-        shards.size());
-    Status status = ParallelFor(
-        pool, shards, [&](std::size_t shard, std::size_t begin, std::size_t end) {
-          auto& local = shard_buckets[shard];
-          for (EntityId e = begin; e < end; ++e) {
-            for (auto& key : EntityBlockingKeys(table, e, options)) {
-              local[std::move(key)].push_back(e);
-            }
-          }
-          return Status::OK();
-        });
-    // Bodies only fail by throwing; rethrow on the calling thread for
-    // parity with the sequential build's error behavior.
-    if (!status.ok()) throw std::runtime_error(status.ToString());
-    for (auto& local : shard_buckets) {
-      for (auto& [key, entities] : local) {
-        auto& merged = buckets[key];
-        merged.insert(merged.end(), entities.begin(), entities.end());
+    codes.push_back(table.column(a).codes());
+    const Dictionary& dictionary = table.dictionary(a);
+    std::vector<std::uint32_t>& begin = value_begin.emplace_back();
+    begin.reserve(dictionary.size() + 1);
+    for (DictCode c = 0; c < dictionary.size(); ++c) {
+      begin.push_back(static_cast<std::uint32_t>(value_tokens.size()));
+      chars.clear();
+      ends.clear();
+      AppendAlnumTokens(dictionary.value(c), options.min_token_length, &chars,
+                        &ends);
+      std::uint32_t start = 0;
+      for (const std::uint32_t end : ends) {
+        value_tokens.push_back(interner.Intern(
+            std::string_view(chars.data() + start, end - start)));
+        start = end;
       }
     }
-  } else {
-    for (EntityId e = 0; e < table.num_rows(); ++e) {
-      for (auto& key : EntityBlockingKeys(table, e, options)) {
-        buckets[std::move(key)].push_back(e);
-      }
-    }
+    begin.push_back(static_cast<std::uint32_t>(value_tokens.size()));
   }
 
+  // A row's keys are the union of its values' tokens. `last_row[t]` is the
+  // last row that visited token t, so a token held by two attributes (or
+  // twice by one value) of a row is visited once per row.
+  const std::size_t num_rows = table.num_rows();
+  std::vector<EntityId> last_row;
+  const auto for_each_key = [&](EntityId e, const auto& fn) {
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      const DictCode c = codes[i][e];
+      for (std::uint32_t k = value_begin[i][c]; k < value_begin[i][c + 1];
+           ++k) {
+        const std::uint32_t t = value_tokens[k];
+        if (last_row[t] != e) {
+          last_row[t] = e;
+          fn(t);
+        }
+      }
+    }
+  };
+  std::vector<std::uint32_t> holders(interner.size(), 0);
+  last_row.assign(interner.size(), kNone);
+  for (EntityId e = 0; e < num_rows; ++e) {
+    for_each_key(e, [&](std::uint32_t t) { ++holders[t]; });
+  }
+
+  // Tokens held by two or more rows become blocks, ranked by key.
+  // Singleton blocks yield no pairs.
+  std::vector<std::uint32_t> kept;
+  for (std::uint32_t t = 0; t < holders.size(); ++t) {
+    if (holders[t] >= 2) kept.push_back(t);
+  }
+  std::sort(kept.begin(), kept.end(), [&](std::uint32_t x, std::uint32_t y) {
+    return interner.token(x) < interner.token(y);
+  });
   auto index = std::shared_ptr<TableBlockIndex>(new TableBlockIndex());
   index->options_ = options;
-  index->entity_blocks_.resize(table.num_rows());
-  for (auto& [key, entities] : buckets) {
-    if (entities.size() < 2) continue;  // Singleton blocks yield no pairs.
-    auto block_id = static_cast<std::uint32_t>(index->block_keys_.size());
-    index->key_to_block_.emplace(key, block_id);
-    index->block_keys_.push_back(key);
-    index->block_entities_.push_back(std::move(entities));
+  index->block_keys_.reserve(kept.size());
+  index->block_entities_.resize(kept.size());
+  std::vector<std::uint32_t> block_of(interner.size(), kNone);
+  for (std::uint32_t b = 0; b < kept.size(); ++b) {
+    block_of[kept[b]] = b;
+    index->block_keys_.emplace_back(interner.token(kept[b]));
+    index->block_entities_[b].reserve(holders[kept[b]]);
   }
-  // Inverse index, with per-entity block lists sorted ascending by |b|.
-  for (std::uint32_t b = 0; b < index->block_entities_.size(); ++b) {
-    for (EntityId e : index->block_entities_[b]) {
+
+  // One ascending row pass keeps every entity list ascending.
+  index->entity_blocks_.resize(num_rows);
+  last_row.assign(interner.size(), kNone);
+  for (EntityId e = 0; e < num_rows; ++e) {
+    std::uint32_t num_blocks = 0;
+    for_each_key(e, [&](std::uint32_t t) {
+      if (block_of[t] == kNone) return;
+      index->block_entities_[block_of[t]].push_back(e);
+      ++num_blocks;
+    });
+    index->entity_blocks_[e].reserve(num_blocks);
+  }
+
+  // ITBI: visiting blocks in (size, id) order appends each entity's blocks
+  // already sorted.
+  std::vector<std::uint32_t> order(kept.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t x, std::uint32_t y) {
+                     return index->block_size(x) < index->block_size(y);
+                   });
+  for (const std::uint32_t b : order) {
+    for (const EntityId e : index->block_entities_[b]) {
       index->entity_blocks_[e].push_back(b);
     }
   }
-  // The per-entity sorts are independent, so they chunk onto the pool
-  // directly (inline when `pool` is null or single-threaded).
-  Status sort_status = ParallelFor(
-      parallel ? pool : nullptr, index->entity_blocks_.size(),
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          auto& blocks = index->entity_blocks_[e];
-          std::sort(blocks.begin(), blocks.end(),
-                    [&](std::uint32_t a, std::uint32_t b) {
-                      std::size_t sa = index->block_entities_[a].size();
-                      std::size_t sb = index->block_entities_[b].size();
-                      return sa != sb ? sa < sb : a < b;
-                    });
-        }
-        return Status::OK();
-      });
-  if (!sort_status.ok()) throw std::runtime_error(sort_status.ToString());
   return index;
 }
 
@@ -121,16 +136,15 @@ std::shared_ptr<TableBlockIndex> TableBlockIndex::FromParts(
   index->block_keys_ = std::move(block_keys);
   index->block_entities_ = std::move(block_entities);
   index->entity_blocks_ = std::move(entity_blocks);
-  index->key_to_block_.reserve(index->block_keys_.size());
-  for (std::uint32_t b = 0; b < index->block_keys_.size(); ++b) {
-    index->key_to_block_.emplace(index->block_keys_[b], b);
-  }
   return index;
 }
 
-std::int64_t TableBlockIndex::FindBlock(const std::string& key) const {
-  auto it = key_to_block_.find(key);
-  return it == key_to_block_.end() ? -1 : static_cast<std::int64_t>(it->second);
+std::int64_t TableBlockIndex::FindBlock(std::string_view key) const {
+  const auto it = std::lower_bound(
+      block_keys_.begin(), block_keys_.end(), key,
+      [](const std::string& a, std::string_view b) { return a < b; });
+  if (it == block_keys_.end() || *it != key) return -1;
+  return it - block_keys_.begin();
 }
 
 std::size_t TableBlockIndex::MemoryFootprint() const {
@@ -142,8 +156,6 @@ std::size_t TableBlockIndex::MemoryFootprint() const {
   for (const auto& blocks : entity_blocks_) {
     bytes += blocks.size() * sizeof(std::uint32_t) + sizeof(blocks);
   }
-  // Hash map overhead: bucket array + node per key (rough but stable).
-  bytes += key_to_block_.size() * (sizeof(void*) * 2 + sizeof(std::uint32_t));
   return bytes;
 }
 

@@ -15,11 +15,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "blocking/block.h"
-#include "parallel/thread_pool.h"
 #include "storage/table.h"
 
 namespace queryer {
@@ -42,25 +41,23 @@ struct BlockingOptions {
 /// Built once-off per table and kept in memory (paper Sec. 3). Blocks with a
 /// single entity are kept out of the block list: they can never produce a
 /// comparison, and Block-Join against them would only re-add the probing
-/// entity itself.
+/// entity itself. Block ids follow key order (Block-Join and the `.tbi`
+/// snapshot format rely on it), and every entity list is ascending.
 class TableBlockIndex {
  public:
-  /// Builds the index over all rows of `table`.
-  ///
-  /// With a multi-worker `pool` the token extraction is sharded by entity
-  /// range (each worker buckets its own contiguous slice, buckets are merged
-  /// in shard order) and the per-entity ITBI sort runs chunked on the pool.
-  /// The resulting index is identical to the sequential build: shard ranges
-  /// are ascending and contiguous, so merged entity lists keep the ascending
-  /// order the sequential loop produces.
+  /// Builds the index over all rows of `table`, from the columns'
+  /// dictionaries: each distinct value of a blocked attribute is tokenized
+  /// once and its tokens interned into dense ids; a row's keys are the
+  /// union of its values' ids. Ids held by two or more rows become blocks,
+  /// ranked by key; one ascending row pass fills the entity lists, and
+  /// visiting blocks in (size, id) order fills the ITBI already sorted.
   static std::shared_ptr<TableBlockIndex> Build(const Table& table,
-                                                const BlockingOptions& options,
-                                                ThreadPool* pool = nullptr);
+                                                const BlockingOptions& options);
 
   /// Restores an index from previously-built parts (the persist tier's
   /// snapshot loader). The parts must describe an index Build() produced
-  /// over the same table contents and options; the key -> block map is
-  /// rebuilt from `block_keys`.
+  /// over the same table contents and options: `block_keys` strictly
+  /// ascending, which FindBlock's binary search relies on.
   static std::shared_ptr<TableBlockIndex> FromParts(
       BlockingOptions options, std::vector<std::string> block_keys,
       std::vector<std::vector<EntityId>> block_entities,
@@ -74,7 +71,8 @@ class TableBlockIndex {
   std::size_t num_entities() const { return entity_blocks_.size(); }
 
   /// Block id for a key, or -1 if the key indexes no (multi-entity) block.
-  std::int64_t FindBlock(const std::string& key) const;
+  /// A binary search over the key-ordered blocks.
+  std::int64_t FindBlock(std::string_view key) const;
 
   const std::string& block_key(std::size_t block_id) const {
     return block_keys_[block_id];
@@ -99,15 +97,10 @@ class TableBlockIndex {
   TableBlockIndex() = default;
 
   BlockingOptions options_;
-  std::unordered_map<std::string, std::uint32_t> key_to_block_;
   std::vector<std::string> block_keys_;
   std::vector<std::vector<EntityId>> block_entities_;
   std::vector<std::vector<std::uint32_t>> entity_blocks_;
 };
-
-/// \brief Extracts the blocking keys (distinct tokens) of one entity.
-std::vector<std::string> EntityBlockingKeys(const Table& table, EntityId entity,
-                                            const BlockingOptions& options);
 
 /// \brief The Query Block Index QBI_QE: the query entities whose blocks
 /// Block-Join reads from the table's inverse index.

@@ -11,11 +11,14 @@ namespace queryer {
 namespace {
 
 bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+// ASCII case and alphanumerics, independent of the process locale: a byte
+// outside ASCII is never alphanumeric and lower-cases to itself.
 char LowerChar(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
 bool IsAlnumChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0;
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
 }
 
 // Calls fn(start, end) for every maximal alphanumeric run of `value` at

@@ -17,7 +17,7 @@ const TableBlockIndex& TableRuntime::tbi() {
   // Once-guarded cold start: concurrent sessions racing the first DEDUP
   // query (or WarmIndices) all block here while one of them builds.
   std::call_once(tbi_once_, [this] {
-    tbi_ = TableBlockIndex::Build(*table_, blocking_, pool_.get());
+    tbi_ = TableBlockIndex::Build(*table_, blocking_);
     tbi_built_.store(true, std::memory_order_release);
   });
   return *tbi_;

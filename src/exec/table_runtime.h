@@ -48,7 +48,7 @@ class TableRuntime {
   const MatchingConfig& matching_config() const { return matching_; }
   void set_matching_config(const MatchingConfig& config) { matching_ = config; }
 
-  /// Pool for the table's data-parallel phases (index construction,
+  /// Pool for the table's data-parallel phases (meta-blocking,
   /// comparison execution). Null means sequential; the engine wires its
   /// pool in at registration time. Shared ownership, because runtime
   /// handles obtained from QueryEngine::GetRuntime may outlive the engine.
@@ -57,14 +57,14 @@ class TableRuntime {
   }
   ThreadPool* thread_pool() const { return pool_.get(); }
 
-  /// Builds the TBI on first access (once-off initialization, paper Sec. 3),
-  /// sharded over the thread pool when one is set. Safe to race from many
-  /// sessions: the first builds, the rest block on the once-flag.
+  /// Builds the TBI on first access (once-off initialization, paper Sec. 3).
+  /// Safe to race from many sessions: the first builds, the rest block on
+  /// the once-flag.
   const TableBlockIndex& tbi();
   bool tbi_built() const { return tbi_built_.load(std::memory_order_acquire); }
 
   /// Eagerly builds every once-off index (TBI/ITBI and the attribute
-  /// weights), using the thread pool for the TBI shards when one is set.
+  /// weights).
   Status WarmIndices();
 
   /// Attribute-distinctiveness weights for matching (computed once; safe to

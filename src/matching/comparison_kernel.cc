@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/token_interner.h"
 #include "matching/similarity.h"
 
 namespace queryer {
@@ -18,60 +19,6 @@ namespace {
 // speedup; 4K entries slowed a DSD batch's similarity phase by ~10%.
 constexpr int kMemoBits = 13;
 constexpr std::uint64_t kMatchBit = std::uint64_t{1} << 63;
-
-// Dense ids for distinct tokens, in first-seen order: an open-addressing
-// table of ids (0 = empty, else id + 1) that keeps each id's hash so it
-// can grow. The caller owns the keys; `same_key(id)` says whether id's key
-// is the one being probed.
-class IdTable {
- public:
-  // The id of the probed key; a new key gets the next id.
-  template <typename SameKey>
-  std::uint32_t Intern(std::uint32_t hash, const SameKey& same_key) {
-    if (2 * (hashes_.size() + 1) > table_.size()) Grow();
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-      const std::uint32_t entry = table_[i];
-      if (entry == 0) {
-        table_[i] = static_cast<std::uint32_t>(hashes_.size() + 1);
-        hashes_.push_back(hash);
-        return table_[i] - 1;
-      }
-      if (hashes_[entry - 1] == hash && same_key(entry - 1)) return entry - 1;
-    }
-  }
-
- private:
-  void Grow() {
-    std::vector<std::uint32_t> table(
-        std::max<std::size_t>(64, 2 * table_.size()));
-    const std::size_t mask = table.size() - 1;
-    for (std::size_t id = 0; id < hashes_.size(); ++id) {
-      std::size_t i = hashes_[id] & mask;
-      while (table[i] != 0) i = (i + 1) & mask;
-      table[i] = static_cast<std::uint32_t>(id + 1);
-    }
-    table_.swap(table);
-  }
-
-  std::vector<std::uint32_t> table_;
-  std::vector<std::uint32_t> hashes_;
-};
-
-// FNV-1a, then Murmur3's 64-bit finalizer to spread every byte over the
-// low bits the table indexes by.
-std::uint32_t HashBytes(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return static_cast<std::uint32_t>(h);
-}
 
 // One bit per token character: letters and digits get their own bits, any
 // other byte shares one of the rest (a shared bit only weakens the bound
@@ -189,15 +136,7 @@ void ComparisonKernel::BuildSlots(
   slot_number_.resize(num_slots);
   slot_token_begin_.resize(num_slots + 1);
 
-  // Intern tokens in first-seen order: token i's bytes are
-  // chars[seen_end[i - 1] .. seen_end[i]).
-  std::string chars;
-  std::vector<std::uint32_t> seen_end;
-  const auto seen = [&](std::uint32_t i) {
-    const std::uint32_t begin = i == 0 ? 0 : seen_end[i - 1];
-    return std::string_view(chars.data() + begin, seen_end[i] - begin);
-  };
-  IdTable token_ids;
+  TokenInterner interner;
   std::string value_chars;
   std::vector<std::uint32_t> value_ends;
   for (std::size_t s = 0; s < num_slots; ++s) {
@@ -218,32 +157,26 @@ void ComparisonKernel::BuildSlots(
       const std::string_view token(value_chars.data() + token_begin,
                                    token_end - token_begin);
       token_begin = token_end;
-      const std::uint32_t id = token_ids.Intern(
-          HashBytes(token), [&](std::uint32_t i) { return seen(i) == token; });
-      if (id == seen_end.size()) {
-        chars += token;
-        seen_end.push_back(static_cast<std::uint32_t>(chars.size()));
-      }
-      slot_tokens_.push_back(id);
+      slot_tokens_.push_back(interner.Intern(token));
     }
   }
   slot_token_begin_[num_slots] =
       static_cast<std::uint32_t>(slot_tokens_.size());
-  const std::size_t num_tokens = seen_end.size();
+  const std::size_t num_tokens = interner.size();
   QUERYER_DCHECK(num_tokens < (std::size_t{1} << 31));
 
   // Renumber by lexicographic rank and lay the token bytes out in id order.
   std::vector<std::uint32_t> order(num_tokens);
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return seen(x) < seen(y);
+    return interner.token(x) < interner.token(y);
   });
   std::vector<std::uint32_t> rank(num_tokens);
   token_begin_.resize(num_tokens + 1);
   token_mask_.resize(num_tokens);
-  token_chars_.reserve(chars.size());
+  token_chars_.reserve(interner.bytes());
   for (std::uint32_t r = 0; r < order.size(); ++r) {
-    const std::string_view token = seen(order[r]);
+    const std::string_view token = interner.token(order[r]);
     rank[order[r]] = r;
     token_begin_[r] = static_cast<std::uint32_t>(token_chars_.size());
     token_chars_.insert(token_chars_.end(), token.begin(), token.end());

@@ -62,14 +62,6 @@ void LinkIndex::WalAppendMarks(const std::vector<EntityId>& entities) {
   if (!status.ok()) throw LinkIndexWalError(status.ToString());
 }
 
-bool LinkIndex::AddLink(EntityId a, EntityId b) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  WalAppendLinks({{a, b}});
-  bool merged = AddLinkLocked(a, b);
-  epoch_.fetch_add(1, std::memory_order_release);
-  return merged;
-}
-
 std::size_t LinkIndex::PublishLinks(const std::vector<Link>& links) {
   // Before the exclusive section: an injected publish failure must leave
   // the index untouched (all-or-nothing), so the owner's abandonment hands
@@ -143,13 +135,6 @@ void LinkIndex::MarkResolvedLocked(EntityId e) {
     resolved_[e] = true;
     ++num_resolved_count_;
   }
-}
-
-void LinkIndex::MarkResolved(EntityId e) {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  WalAppendMarks({e});
-  MarkResolvedLocked(e);
-  epoch_.fetch_add(1, std::memory_order_release);
 }
 
 bool LinkIndex::IsResolved(EntityId e) const {

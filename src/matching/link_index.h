@@ -7,7 +7,7 @@
 // blocking/matching pipeline.
 //
 // Internally a union-find forest with per-cluster circular lists, so both
-// AddLink and cluster enumeration are cheap, and the match relation exposed
+// merging and cluster enumeration are cheap, and the match relation exposed
 // to query evaluation is automatically transitively closed.
 //
 // Concurrency: the index follows an epoch/snapshot reader-writer protocol
@@ -16,8 +16,8 @@
 //  * Every read accessor (AreLinked, Cluster, Representative, IsResolved,
 //    ...) takes a shared lock and walks the forest without path halving, so
 //    any number of reader threads run concurrently and never rewire parents.
-//  * Writers (AddLink, MarkResolved, Reset and the batch publishers) take
-//    the exclusive lock; path compression happens only there.
+//  * Writers (the batch publishers, MarkAllResolved and Reset) take the
+//    exclusive lock; path compression happens only there.
 //  * A query session stages the links it resolves in a private buffer and
 //    applies them with PublishLinks/MarkResolvedBatch — one short exclusive
 //    section per resolution instead of one lock per link.
@@ -82,11 +82,6 @@ class LinkIndex {
 
   std::size_t num_entities() const { return parent_.size(); }
 
-  /// Records that a and b are duplicates (merges their clusters). Returns
-  /// true when the clusters were actually merged, false when a and b were
-  /// already (transitively) linked.
-  bool AddLink(EntityId a, EntityId b);
-
   /// True when a and b are in the same (transitively closed) cluster.
   bool AreLinked(EntityId a, EntityId b) const;
 
@@ -99,9 +94,8 @@ class LinkIndex {
   /// e's duplicates: cluster members excluding e.
   std::vector<EntityId> Duplicates(EntityId e) const;
 
-  /// Marks an entity as fully resolved: its link-set is complete and future
+  /// True when e is fully resolved: its link-set is complete and future
   /// queries may reuse it without re-running the ER pipeline.
-  void MarkResolved(EntityId e);
   bool IsResolved(EntityId e) const;
 
   std::size_t num_resolved() const;
@@ -125,8 +119,8 @@ class LinkIndex {
   /// exclusive section.
   void MarkAllResolved();
 
-  /// Publication counter: incremented by every exclusive mutation
-  /// (AddLink, MarkResolved, Reset, and once per published batch).
+  /// Publication counter: incremented once by every exclusive mutation
+  /// (each published batch, MarkAllResolved, Reset and each restore).
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }

@@ -1,9 +1,9 @@
 #include "matching/profile_matcher.h"
 
 #include <optional>
-#include <set>
 
 #include "common/string_util.h"
+#include "common/token_interner.h"
 #include "matching/comparison_kernel.h"
 
 namespace queryer {
@@ -22,10 +22,10 @@ AttributeWeights AttributeWeights::Compute(const Table& table) {
     // Every dictionary entry occurs in at least one row, so the distinct
     // set over rows equals the distinct set over dictionary values —
     // O(distinct) lower-cased copies instead of O(rows).
-    std::set<std::string> distinct;
+    TokenInterner distinct;
     for (DictCode code = 0; code < dictionary.size(); ++code) {
       const std::string_view value = dictionary.value(code);
-      if (!value.empty()) distinct.insert(ToLower(value));
+      if (!value.empty()) distinct.Intern(ToLower(value));
     }
     std::size_t non_empty = table.num_rows();
     if (std::optional<DictCode> empty_code = dictionary.Find("")) {

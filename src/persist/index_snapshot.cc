@@ -122,10 +122,13 @@ Result<LoadedIndexes> IndexSnapshotIO::Load(const std::string& path,
   }
   std::vector<std::string> block_keys;
   block_keys.reserve(num_blocks);
+  bool ascending = true;
   for (std::uint32_t b = 0; b < num_blocks; ++b) {
     block_keys.emplace_back(keys_reader.String());
+    // FindBlock binary-searches the keys.
+    if (b > 0 && block_keys[b - 1] >= block_keys[b]) ascending = false;
   }
-  if (!keys_reader.AtEnd()) {
+  if (!keys_reader.AtEnd() || !ascending) {
     return Status::Corruption("index snapshot " + path + ": bad block keys");
   }
 

@@ -10,31 +10,12 @@
 #include "blocking/block_join.h"
 #include "blocking/token_blocking.h"
 #include "datagen/scholarly.h"
+#include "tbi_oracle.h"
 
 namespace queryer {
 namespace {
 
 TablePtr MotivatingP() { return datagen::MakeMotivatingPublications().table; }
-
-TEST(EntityBlockingKeysTest, DistinctLowercasedTokens) {
-  TablePtr p = MotivatingP();
-  // P1 = {P1, "Collective Entity Resolution", "", "EDBT", "2008"}.
-  std::vector<std::string> keys = EntityBlockingKeys(*p, 0, BlockingOptions{});
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-  EXPECT_NE(std::find(keys.begin(), keys.end(), "collective"), keys.end());
-  EXPECT_NE(std::find(keys.begin(), keys.end(), "edbt"), keys.end());
-  EXPECT_NE(std::find(keys.begin(), keys.end(), "2008"), keys.end());
-  // Duplicate tokens across attributes appear once.
-  EXPECT_EQ(std::count(keys.begin(), keys.end(), "edbt"), 1);
-}
-
-TEST(EntityBlockingKeysTest, ExcludedAttributes) {
-  TablePtr p = MotivatingP();
-  BlockingOptions options;
-  options.excluded_attributes = {0};  // Drop the id column.
-  std::vector<std::string> keys = EntityBlockingKeys(*p, 0, options);
-  EXPECT_EQ(std::find(keys.begin(), keys.end(), "p1"), keys.end());
-}
 
 TEST(TableBlockIndexTest, BuildsExpectedBlocks) {
   TablePtr p = MotivatingP();

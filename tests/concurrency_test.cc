@@ -150,7 +150,7 @@ TEST(LinkIndexProtocolTest, ConcurrentReadersWhilePublishing) {
 
 TEST(ResolutionCoordinatorTest, EntityClaimsPartition) {
   LinkIndex li(8);
-  li.MarkResolved(5);
+  li.MarkResolvedBatch({5});
   ResolutionCoordinator coordinator;
 
   auto first = coordinator.ClaimEntities({1, 2, 5}, li);

@@ -257,8 +257,7 @@ TEST(LinkIndexTest, SingletonsInitially) {
 
 TEST(LinkIndexTest, TransitiveClosure) {
   LinkIndex li(6);
-  li.AddLink(0, 1);
-  li.AddLink(1, 2);
+  EXPECT_EQ(li.PublishLinks({{0, 1}, {1, 2}}), 2u);
   EXPECT_TRUE(li.AreLinked(0, 2));
   EXPECT_EQ(li.Cluster(1), (std::vector<EntityId>{0, 1, 2}));
   EXPECT_EQ(li.Duplicates(0), (std::vector<EntityId>{1, 2}));
@@ -269,19 +268,16 @@ TEST(LinkIndexTest, TransitiveClosure) {
 
 TEST(LinkIndexTest, RedundantLinkIgnored) {
   LinkIndex li(4);
-  li.AddLink(0, 1);
-  li.AddLink(1, 0);
-  li.AddLink(0, 1);
+  EXPECT_EQ(li.PublishLinks({{0, 1}, {1, 0}, {0, 1}}), 1u);
   EXPECT_EQ(li.num_links(), 1u);
   EXPECT_EQ(li.Cluster(0).size(), 2u);
 }
 
 TEST(LinkIndexTest, MergeTwoClusters) {
   LinkIndex li(6);
-  li.AddLink(0, 1);
-  li.AddLink(2, 3);
+  li.PublishLinks({{0, 1}, {2, 3}});
   EXPECT_FALSE(li.AreLinked(0, 3));
-  li.AddLink(1, 2);
+  li.PublishLinks({{1, 2}});
   EXPECT_TRUE(li.AreLinked(0, 3));
   EXPECT_EQ(li.Cluster(3), (std::vector<EntityId>{0, 1, 2, 3}));
 }
@@ -289,16 +285,16 @@ TEST(LinkIndexTest, MergeTwoClusters) {
 TEST(LinkIndexTest, ResolvedMarks) {
   LinkIndex li(3);
   EXPECT_FALSE(li.IsResolved(1));
-  li.MarkResolved(1);
-  li.MarkResolved(1);  // Idempotent.
+  li.MarkResolvedBatch({1, 1});
+  li.MarkResolvedBatch({1});  // Idempotent.
   EXPECT_TRUE(li.IsResolved(1));
   EXPECT_EQ(li.num_resolved(), 1u);
 }
 
 TEST(LinkIndexTest, ResetClearsEverything) {
   LinkIndex li(4);
-  li.AddLink(0, 1);
-  li.MarkResolved(0);
+  li.PublishLinks({{0, 1}});
+  li.MarkResolvedBatch({0});
   li.Reset();
   EXPECT_FALSE(li.AreLinked(0, 1));
   EXPECT_FALSE(li.IsResolved(0));
@@ -327,7 +323,7 @@ TEST(ComparisonExecutionTest, FindsMotivatingDuplicates) {
 TEST(ComparisonExecutionTest, SkipsAlreadyLinkedPairs) {
   datagen::GeneratedDataset p = datagen::MakeMotivatingPublications();
   LinkIndex li(p.table->num_rows());
-  li.AddLink(5, 6);
+  li.PublishLinks({{5, 6}});
   std::vector<Comparison> comparisons = {{5, 6}};
   StagedComparisons staged =
       *EvaluateComparisons(*p.table, comparisons, TestConfig(), li);

@@ -30,6 +30,7 @@
 #include "datagen/scholarly.h"
 #include "metablocking/meta_blocking.h"
 #include "parallel/thread_pool.h"
+#include "tbi_oracle.h"
 
 namespace queryer {
 namespace {

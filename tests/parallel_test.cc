@@ -157,13 +157,11 @@ TEST(ParallelForTest, InlineExceptionAlsoBecomesStatus) {
   EXPECT_EQ(status.code(), StatusCode::kInternal);
 }
 
-TEST(LinkIndexTest, AddLinkReportsMerges) {
+TEST(LinkIndexTest, PublishLinksReportsMerges) {
   LinkIndex li(4);
-  EXPECT_TRUE(li.AddLink(0, 1));
-  EXPECT_TRUE(li.AddLink(2, 3));
-  EXPECT_TRUE(li.AddLink(0, 2));
+  EXPECT_EQ(li.PublishLinks({{0, 1}, {2, 3}, {0, 2}}), 3u);
   // Transitively linked already: no merge, no count.
-  EXPECT_FALSE(li.AddLink(1, 3));
+  EXPECT_EQ(li.PublishLinks({{1, 3}}), 0u);
   EXPECT_EQ(li.num_links(), 3u);
 }
 
@@ -221,7 +219,7 @@ OneByOneCounts ResolveOneByOne(const Table& table,
     }
     ++counts.executed;
     if (kernel.Similarity(a, b) >= config.threshold) {
-      link_index->AddLink(a, b);
+      link_index->PublishLinks({{a, b}});
       ++counts.merges;
     }
   }
@@ -292,26 +290,6 @@ TEST(ParallelDeterminismTest, ComparisonExecutionMatchesSequential) {
   for (EntityId e = 0; e < dsd.table->num_rows(); ++e) {
     EXPECT_EQ(one_chunk.Cluster(e), reference.Cluster(e));
     EXPECT_EQ(chunked.Cluster(e), reference.Cluster(e));
-  }
-}
-
-// The sharded TBI build must be indistinguishable from the sequential one.
-TEST(ParallelTbiBuildTest, PooledBuildMatchesSequential) {
-  auto dsd = datagen::MakeDsdLike(600, 9);
-  BlockingOptions blocking;
-  blocking.excluded_attributes = {0};
-  auto sequential = TableBlockIndex::Build(*dsd.table, blocking);
-  ThreadPool pool(4);
-  auto pooled = TableBlockIndex::Build(*dsd.table, blocking, &pool);
-
-  ASSERT_EQ(pooled->num_blocks(), sequential->num_blocks());
-  for (std::size_t b = 0; b < sequential->num_blocks(); ++b) {
-    EXPECT_EQ(pooled->block_key(b), sequential->block_key(b));
-    EXPECT_EQ(pooled->block_entities(b), sequential->block_entities(b));
-  }
-  ASSERT_EQ(pooled->num_entities(), sequential->num_entities());
-  for (EntityId e = 0; e < sequential->num_entities(); ++e) {
-    EXPECT_EQ(pooled->entity_blocks(e), sequential->entity_blocks(e));
   }
 }
 

@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "datagen/orgs.h"
+#include "datagen/people.h"
 #include "datagen/scholarly.h"
 #include "engine/query_engine.h"
 #include "matching/profile_matcher.h"
@@ -31,6 +33,7 @@
 #include "persist/table_snapshot.h"
 #include "storage/csv.h"
 #include "storage/table.h"
+#include "tbi_oracle.h"
 
 namespace queryer {
 namespace {
@@ -342,7 +345,7 @@ TEST(TableSnapshotTest, FuzzedTableSnapshotsNeverCrashTheLoader) {
 TEST(IndexSnapshotTest, RoundTripsBlockIndexAndWeights) {
   datagen::GeneratedDataset dsd = datagen::MakeDsdLike(600, 123);
   BlockingOptions blocking;
-  auto built = TableBlockIndex::Build(*dsd.table, blocking, nullptr);
+  auto built = TableBlockIndex::Build(*dsd.table, blocking);
   AttributeWeights weights = AttributeWeights::Compute(*dsd.table);
 
   const std::string path = ScratchDir("index") + "/dsd.tbi";
@@ -355,7 +358,7 @@ TEST(IndexSnapshotTest, RoundTripsBlockIndexAndWeights) {
   for (std::size_t b = 0; b < tbi.num_blocks(); ++b) {
     EXPECT_EQ(tbi.block_key(b), built->block_key(b));
     EXPECT_EQ(tbi.block_entities(b), built->block_entities(b));
-    // The key -> block map was rebuilt, not serialized.
+    // FindBlock binary-searches the restored keys.
     EXPECT_EQ(tbi.FindBlock(tbi.block_key(b)),
               static_cast<std::int64_t>(b));
   }
@@ -371,13 +374,83 @@ TEST(IndexSnapshotTest, RoundTripsBlockIndexAndWeights) {
 
 TEST(IndexSnapshotTest, RowCountMismatchIsCorruption) {
   datagen::GeneratedDataset dsd = datagen::MakeDsdLike(200, 5);
-  auto built = TableBlockIndex::Build(*dsd.table, BlockingOptions{}, nullptr);
+  auto built = TableBlockIndex::Build(*dsd.table, BlockingOptions{});
   const std::string path = ScratchDir("index_rows") + "/dsd.tbi";
   ASSERT_TRUE(IndexSnapshotIO::Write(
                   *built, AttributeWeights::Compute(*dsd.table), path, false)
                   .ok());
   // A snapshot built over different table contents must not mis-index.
   EXPECT_TRUE(IndexSnapshotIO::Load(path, dsd.table->num_rows() - 1)
+                  .status()
+                  .IsCorruption());
+}
+
+// The `.tbi` bytes of the dictionary-code build equal those of the
+// string-keyed oracle's index, so the format's content did not move.
+TEST(IndexSnapshotTest, BuiltIndexBytesEqualOracleIndexBytes) {
+  datagen::GeneratedDataset dsd = datagen::MakeDsdLike(900, 124);
+  datagen::GeneratedDataset oao = datagen::MakeOrganisations(500, 125);
+  datagen::GeneratedDataset ppl =
+      datagen::MakePeople(700, datagen::OrganisationNamePool(oao), 126);
+  const std::string dir = ScratchDir("index_bytes");
+  for (const datagen::GeneratedDataset* dataset : {&dsd, &ppl, &oao}) {
+    const Table& table = *dataset->table;
+    for (std::size_t min_length : {1u, 2u}) {
+      BlockingOptions blocking;
+      blocking.min_token_length = min_length;
+      blocking.excluded_attributes = {0};
+      const std::string where =
+          table.name() + " min_token_length " + std::to_string(min_length);
+      TbiParts parts = OracleTbi(table, blocking);
+      auto oracle = TableBlockIndex::FromParts(
+          blocking, std::move(parts.block_keys),
+          std::move(parts.block_entities), std::move(parts.entity_blocks));
+      auto built = TableBlockIndex::Build(table, blocking);
+      const AttributeWeights weights = AttributeWeights::Compute(table);
+      ASSERT_TRUE(IndexSnapshotIO::Write(*built, weights, dir + "/built.tbi",
+                                         false)
+                      .ok());
+      ASSERT_TRUE(IndexSnapshotIO::Write(*oracle, weights,
+                                         dir + "/oracle.tbi", false)
+                      .ok());
+      EXPECT_EQ(SlurpFile(dir + "/built.tbi"), SlurpFile(dir + "/oracle.tbi"))
+          << where;
+      EXPECT_EQ(built->MemoryFootprint(), oracle->MemoryFootprint()) << where;
+
+      ASSERT_GT(built->num_blocks(), 0u) << where;
+      for (std::size_t b = 0; b < built->num_blocks(); ++b) {
+        ASSERT_EQ(built->FindBlock(built->block_key(b)),
+                  static_cast<std::int64_t>(b))
+            << where;
+      }
+      const std::string& first = built->block_key(0);
+      const std::string& last = built->block_key(built->num_blocks() - 1);
+      EXPECT_EQ(built->FindBlock(""), -1) << where;
+      EXPECT_EQ(built->FindBlock(first.substr(0, first.size() - 1) + '\x01'),
+                -1)
+          << where;
+      EXPECT_EQ(built->FindBlock(last + "zz"), -1) << where;
+      EXPECT_EQ(built->FindBlock("\x7f"), -1) << where;
+    }
+  }
+}
+
+TEST(IndexSnapshotTest, UnsortedBlockKeysAreCorruption) {
+  // FindBlock's binary search needs ascending keys: a snapshot whose keys
+  // are out of order must not load.
+  datagen::GeneratedDataset dsd = datagen::MakeDsdLike(200, 6);
+  BlockingOptions blocking;
+  TbiParts parts = OracleTbi(*dsd.table, blocking);
+  ASSERT_GE(parts.block_keys.size(), 2u);
+  std::swap(parts.block_keys[0], parts.block_keys[1]);
+  auto swapped = TableBlockIndex::FromParts(
+      blocking, std::move(parts.block_keys), std::move(parts.block_entities),
+      std::move(parts.entity_blocks));
+  const std::string path = ScratchDir("index_unsorted") + "/dsd.tbi";
+  ASSERT_TRUE(IndexSnapshotIO::Write(
+                  *swapped, AttributeWeights::Compute(*dsd.table), path, false)
+                  .ok());
+  EXPECT_TRUE(IndexSnapshotIO::Load(path, dsd.table->num_rows())
                   .status()
                   .IsCorruption());
 }

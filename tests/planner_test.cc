@@ -255,9 +255,7 @@ TEST(StatisticsTest, ResolvedEntitiesCostNothing) {
   for (EntityId e = 0; e < dsd.table->num_rows(); ++e) all.push_back(e);
   double before = ApproximateComparisonsAfterMetaBlocking(&runtime, all);
   EXPECT_GT(before, 0.0);
-  for (EntityId e = 0; e < dsd.table->num_rows(); ++e) {
-    runtime.link_index().MarkResolved(e);
-  }
+  runtime.link_index().MarkResolvedBatch(all);
   EXPECT_DOUBLE_EQ(ApproximateComparisonsAfterMetaBlocking(&runtime, all), 0.0);
 }
 

@@ -115,8 +115,8 @@ TEST(DurableLinkIndexTest, LogReplayRestoresLinksAndMarks) {
     EXPECT_EQ(durable->recovery_stats().replayed_records, 0u);
     index.PublishLinks({{0, 1}, {2, 3}, {1, 4}});
     index.MarkResolvedBatch({0, 1, 2});
-    index.AddLink(5, 6);
-    index.MarkResolved(5);
+    index.PublishLinks({{5, 6}});
+    index.MarkResolvedBatch({5});
     before = IndexState::Capture(index);
   }
   LinkIndex recovered(10);
