@@ -8,8 +8,10 @@
 // Each query runs `kReps` times and the best run is reported (rows/sec =
 // input rows of the scan side / seconds).
 //
-// Honors the shared bench flags: --threads=N (morsel-parallel scans) and
-// --batch-size=N (RowBatch capacity; 0 = engine default).
+// Honors the shared bench flags: --threads=N (EngineOptions::num_threads;
+// it sizes comparison execution only, so these plain queries run the same
+// sequential operators at every value) and --batch-size=N (RowBatch
+// capacity; 0 = engine default).
 
 #include <cstdio>
 #include <string>

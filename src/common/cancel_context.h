@@ -2,13 +2,13 @@
 // ER layer can poll from deep inside comparison execution.
 //
 // The streaming session (QueryCursor) owns an atomic cancel flag and an
-// optional deadline; scan/probe morsels already observe the flag through
-// their reorder windows. Resolution, however, runs comparison chunks far
-// below the batch boundaries — a cold Link Index DEDUP can spend seconds
-// there. The Executor packages the session's flag and deadline into a
-// CancelContext and hands it down to the Deduplicator, whose comparison
-// loops call Check() every few hundred comparisons so Cancel() and
-// deadline expiry pre-empt resolution instead of waiting it out.
+// optional deadline, checked at every batch boundary. Resolution, however,
+// runs comparison chunks far below the batch boundaries — a cold Link
+// Index DEDUP can spend seconds there. The Executor packages the session's
+// flag and deadline into a CancelContext and hands it down to the
+// Deduplicator, whose comparison loops call Check() every few hundred
+// comparisons so Cancel() and deadline expiry pre-empt resolution instead
+// of waiting it out.
 
 #ifndef QUERYER_COMMON_CANCEL_CONTEXT_H_
 #define QUERYER_COMMON_CANCEL_CONTEXT_H_

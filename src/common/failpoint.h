@@ -4,7 +4,7 @@
 // the QUERYER_FAILPOINTS environment variable) can inject a failure without
 // recompiling: an error Status, a thrown exception, or a delay. Sites are
 // planted on every cross-thread failure boundary — thread-pool task entry,
-// morsel bodies, comparison-execution chunks, Link Index publishing,
+// comparison-execution chunks, Link Index publishing,
 // coordinator claim/release, admission, cursor Open/Next — so the engine's
 // failure paths (claim abandonment, slot release, first-error-wins
 // propagation) can be exercised deterministically instead of waiting for
@@ -17,14 +17,14 @@
 // Arming, per test:
 //
 //   Failpoints::Global().Arm("er.comparison_chunk", "error");
-//   Failpoints::Global().Arm("scan.morsel", "throw(p=0.25,seed=42)");
-//   Failpoints::Global().Arm("li.publish", "error(every=3)");
+//   Failpoints::Global().Arm("li.publish", "throw(p=0.25,seed=42)");
+//   Failpoints::Global().Arm("cursor.open", "error(every=3)");
 //   Failpoints::Global().Arm("cursor.next", "delay(15)");   // milliseconds
 //   Failpoints::Global().Arm("engine.admission", "error(once)");
 //   ...
 //   Failpoints::Global().DisarmAll();
 //
-// or externally: QUERYER_FAILPOINTS="scan.morsel=throw(p=0.5,seed=7);cursor.next=delay(10)".
+// or externally: QUERYER_FAILPOINTS="li.publish=throw(p=0.5,seed=7);cursor.next=delay(10)".
 //
 // Spec grammar: <mode>[(<args>)] where mode is `error`, `throw`, or
 // `delay(<ms>)`, and args is a comma-separated mix of `p=<0..1>`,
@@ -79,7 +79,7 @@ class Failpoint {
   Status Fire();
 
   /// Like Fire, but `error` mode also throws FailpointError — for sites
-  /// inside code that reports failure by exception (morsel bodies,
+  /// inside code that reports failure by exception (Link Index publishing,
   /// coordinator transactions).
   void FireOrThrow();
 

@@ -61,9 +61,9 @@ struct EngineOptions {
   /// When true, every ER operator appends its surviving comparisons to the
   /// result stats (for Pair Completeness measurement).
   bool collect_comparisons = false;
-  /// Worker threads for the data-parallel phases (comparison execution,
-  /// once-off index construction). 0 = hardware concurrency; 1 = fully
-  /// sequential execution (no pool — identical to the pre-parallel engine).
+  /// Worker threads for comparison execution, the one data-parallel phase;
+  /// every other operator, and index construction, runs sequentially.
+  /// 0 = hardware concurrency; 1 = fully sequential execution (no pool).
   /// Query answers and LinkIndex::num_links() are identical across thread
   /// counts; only the executed/skipped comparison split may vary. Engines
   /// with num_threads > 1 draw their workers from the process-wide shared
@@ -95,9 +95,9 @@ struct EngineOptions {
   /// field entirely (it has no tenant notion).
   std::size_t max_concurrent_per_tenant = 0;
   /// RowBatch capacity of the batch execution pipeline: how many rows flow
-  /// through one Next(RowBatch*) call. Also the morsel granularity of
-  /// parallel table scans. Query answers are identical for every value;
-  /// tiny values only add per-batch overhead. Clamped to at least 1.
+  /// through one Next(RowBatch*) call. Query answers are identical for
+  /// every value; tiny values only add per-batch overhead. Clamped to at
+  /// least 1.
   std::size_t batch_size = kDefaultBatchSize;
   /// Per-session deadline in seconds, measured from cursor open (which is
   /// where a DEDUP query's resolution work happens) and checked at batch
@@ -107,10 +107,10 @@ struct EngineOptions {
   /// Prepare time like the rest of the options.
   double default_query_deadline = 0;
   /// When set, every session records Chrome trace-event JSON into this sink
-  /// (plan/open/emit spans, per-operator spans, ER-stage spans, per-morsel
-  /// instants on the worker threads). Null (default) = tracing off, with
-  /// strictly zero overhead — no clock reads, no allocations. Sinks may be
-  /// shared across sessions; events carry the session id in their args.
+  /// (plan/open/emit spans, per-operator spans, ER-stage spans). Null
+  /// (default) = tracing off, with strictly zero overhead — no clock
+  /// reads, no allocations. Sinks may be shared across sessions; events
+  /// carry the session id in their args.
   /// Captured at Prepare time like the rest of the options.
   std::shared_ptr<TraceSink> trace_sink;
   /// Physical layout of QueryResult answers materialized by Execute().

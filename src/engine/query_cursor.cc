@@ -170,12 +170,11 @@ void QueryCursor::TerminateLocked(Status status) {
     status = status.WithContext("session " + std::to_string(session_id_));
   }
   if (root_ != nullptr) {
-    // Close cascades down the tree; TableScanOp / HashJoinOp cancel their
-    // in-flight morsels through the ReorderWindow cancellation path, so
-    // window-queued tasks stop materializing for this dead session. A tree
-    // that never opened (lazy open not reached, or EnsureOpen failed) is
-    // torn down by destructors alone — the DrainOperator contract: no
-    // Close after a failed (or skipped) Open.
+    // Close cascades down the tree on this (the consumer) thread; no
+    // operator leaves pool work behind between calls. A tree that never
+    // opened (lazy open not reached, or EnsureOpen failed) is torn down by
+    // destructors alone — the DrainOperator contract: no Close after a
+    // failed (or skipped) Open.
     if (tree_opened_) root_->Close();
     root_.reset();
   }
@@ -199,16 +198,10 @@ void QueryCursor::Close() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (closed_) return;
   closed_ = true;
-  // Read the flag BEFORE raising it: a Cancel() that arrived before this
-  // Close makes the session count as cancelled — but only when the stream
-  // had not already finished (a Cancel after the last batch never turns
-  // success into an error).
+  // A Cancel() that arrived before this Close makes the session count as
+  // cancelled — but only when the stream had not already finished (a
+  // Cancel after the last batch never turns success into an error).
   const bool was_cancelled = cancel_->load(std::memory_order_acquire);
-  if (status_.ok() && !finished_) {
-    // Abandoned mid-stream: make sure straggler morsels see the session
-    // die even if the client never called Cancel.
-    cancel_->store(true, std::memory_order_release);
-  }
   if (status_.ok()) {
     if (!finished_ && was_cancelled) {
       TerminateLocked(Status::Cancelled("query session cancelled"));
@@ -227,8 +220,6 @@ Status QueryCursor::CheckRunnable() {
     return status_;
   }
   if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-    // Let the tree's morsels die with the session, like a cancellation.
-    cancel_->store(true, std::memory_order_release);
     Terminate(Status::DeadlineExceeded("query deadline exceeded"));
     return status_;
   }
@@ -288,9 +279,10 @@ Result<bool> QueryCursor::Next(RowBatch* batch) {
     return status_;
   }
   if (!*has) {
-    // End of stream — but a Cancel() that landed mid-pull truncates the
-    // morsel stream silently (cancelled morsels come back empty), so
-    // check the flag before declaring the answer complete. Only the
+    // End of stream — but a Cancel() that landed mid-pull still wins over
+    // the end of the stream: a session cancelled before its answer was
+    // fully delivered reports kCancelled, as at any other batch boundary,
+    // so check the flag before declaring the answer complete. Only the
     // cancel flag, NOT the deadline: the deadline acts solely through
     // CheckRunnable, which terminates the stream on the spot, so it can
     // never truncate — a stream that reaches its end under a just-expired

@@ -25,26 +25,25 @@
 // a DEDUP plan's whole resolution transaction runs, so open-time failures,
 // cancellation and deadline pre-emption all surface through Next's one
 // status channel. Close() — or destruction, including mid-stream
-// abandonment — closes the operator tree, which cancels in-flight
-// scan/probe morsels through the ReorderWindow cancellation path, and
-// releases the admission slot so another session can be admitted. Per-
-// table ResolutionCoordinator claims never outlive the tree's Open (the
-// resolution transaction releases or abandons them before Open returns),
-// so an abandoned cursor leaves no claim behind either.
+// abandonment — closes the operator tree and releases the admission slot
+// so another session can be admitted. Per-table ResolutionCoordinator
+// claims never outlive the tree's Open (the resolution transaction
+// releases or abandons them before Open returns), so an abandoned cursor
+// leaves no claim behind either.
 //
 // Cancellation is cooperative: Cancel() (safe from any thread) raises the
-// session flag; morsel workers observe it through their linked reorder
-// windows, the ER comparison loops poll it mid-resolution, and the next
-// batch boundary surfaces Status::Cancelled. A deadline
-// (EngineOptions::default_query_deadline) is checked at the same points
-// and surfaces DeadlineExceeded. The terminal epilogue (tree close, slot
-// release, outcome accounting) is mutex-guarded and runs exactly once
-// under the cursor's threading contract: Next/Fetch/Close come from the
-// single consumer thread, and Cancel is the ONLY entry point that is safe
-// from any thread. A Close from a second thread while a Next is in flight
-// (say, during the long lazy-open resolution) would tear the operator
-// tree down under the running Open — cancel from the other thread and let
-// the consumer's Next/Close finish the session instead.
+// session flag; the ER comparison loops poll it mid-resolution (on the
+// pool's workers too), and the next batch boundary surfaces
+// Status::Cancelled. A deadline (EngineOptions::default_query_deadline)
+// is checked at the same points and surfaces DeadlineExceeded. The
+// terminal epilogue (tree close, slot release, outcome accounting) is
+// mutex-guarded and runs exactly once under the cursor's threading
+// contract: Next/Fetch/Close come from the single consumer thread, and
+// Cancel is the ONLY entry point that is safe from any thread. A Close
+// from a second thread while a Next is in flight (say, during the long
+// lazy-open resolution) would tear the operator tree down under the
+// running Open — cancel from the other thread and let the consumer's
+// Next/Close finish the session instead.
 
 #ifndef QUERYER_ENGINE_QUERY_CURSOR_H_
 #define QUERYER_ENGINE_QUERY_CURSOR_H_
@@ -90,15 +89,14 @@ class QueryCursor {
 
   /// Pulls the next batch of the answer into `batch` (cleared first).
   /// Returns false at end of stream; a true return with an empty batch is
-  /// legal mid-stream (e.g. a fully filtered morsel) — keep pulling.
+  /// legal mid-stream (e.g. a fully filtered batch) — keep pulling.
   /// Cancellation and the deadline are checked at this boundary: once
   /// either trips, Next returns kCancelled / kDeadlineExceeded, the
-  /// operator tree is closed (in-flight morsels cancelled) and the
-  /// admission slot is released; the error is sticky. End of stream also
-  /// releases the session (tree + slot) immediately — a fully drained
-  /// cursor blocks nobody, even before Close — and is equally sticky: a
-  /// Cancel() arriving after the last batch does not turn success into
-  /// an error.
+  /// operator tree is closed and the admission slot is released; the error
+  /// is sticky. End of stream also releases the session (tree + slot)
+  /// immediately — a fully drained cursor blocks nobody, even before
+  /// Close — and is equally sticky: a Cancel() arriving after the last
+  /// batch does not turn success into an error.
   Result<bool> Next(RowBatch* batch);
 
   /// Row convenience over Next: up to `n` rows, with the value strings
@@ -109,16 +107,15 @@ class QueryCursor {
   Result<std::vector<std::vector<std::string>>> Fetch(std::size_t n);
 
   /// Raises the cooperative cancellation flag (idempotent, any thread).
-  /// In-flight scan/probe morsels observe it through their reorder
-  /// windows; the consumer sees kCancelled at the next batch boundary.
+  /// A running resolution's comparison loops observe it; the consumer sees
+  /// kCancelled at the next batch boundary.
   void Cancel() { cancel_->store(true, std::memory_order_release); }
 
-  /// Ends the session (idempotent): closes the operator tree — cancelling
-  /// in-flight morsels — and releases the admission slot. Called by the
-  /// destructor for abandoned cursors. After a Close that cut the stream
-  /// short, Next returns an error; after a fully drained stream, Next
-  /// keeps reporting end of stream (Close is then a no-op — the session
-  /// was already released at end-of-stream).
+  /// Ends the session (idempotent): closes the operator tree and releases
+  /// the admission slot. Called by the destructor for abandoned cursors.
+  /// After a Close that cut the stream short, Next returns an error; after
+  /// a fully drained stream, Next keeps reporting end of stream (Close is
+  /// then a no-op — the session was already released at end-of-stream).
   void Close();
 
   /// Execution statistics so far; complete once the stream ended or the
@@ -142,7 +139,7 @@ class QueryCursor {
 
   /// Built by QueryEngine around an UN-opened operator tree (opened lazily
   /// at the first Next). `runtimes` pins the involved tables' ER state;
-  /// `pool` pins the shared worker pool for straggler morsel tasks.
+  /// `pool` pins the shared worker pool the tree's ER operators use.
   /// `session_id` is the Executor's session tag, stamped into terminal
   /// error messages so failures name the session they came from.
   /// `opened_at` is when the session was admitted, so the deadline and

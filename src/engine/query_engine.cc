@@ -320,8 +320,7 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
     plan_text = plan->ToString();
   }
 
-  // The session-level cancellation flag: QueryCursor::Cancel raises it,
-  // every morsel-driven operator's reorder window observes it.
+  // The session-level cancellation flag: QueryCursor::Cancel raises it.
   auto cancel = std::make_shared<std::atomic<bool>>(false);
   // The same flag plus the session deadline, packaged for the ER operators'
   // cooperative polling: the Deduplicator's comparison loops check it so
@@ -342,7 +341,7 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   // is one steady_clock read pair per operator call.
   auto profile = std::make_unique<PlanProfile>();
   Executor executor(&catalog_, &runtimes_, stats.get(), pool_.get(),
-                    options.batch_size, cancel, profile.get(),
+                    options.batch_size, profile.get(),
                     options.trace_sink, std::move(cancel_ctx));
   Result<OperatorPtr> root = executor.Lower(*plan);
   if (!root.ok()) return root.status();

@@ -25,9 +25,6 @@ void ExecStats::Accumulate(const ExecStats& other) {
   blocks_after_filtering += other.blocks_after_filtering;
   comparisons_before_pruning += other.comparisons_before_pruning;
   comparisons_after_metablocking += other.comparisons_after_metablocking;
-  morsels_scanned += other.morsels_scanned;
-  probe_morsels += other.probe_morsels;
-  partial_groups_merged += other.partial_groups_merged;
   blocking_seconds += other.blocking_seconds;
   block_join_seconds += other.block_join_seconds;
   purging_seconds += other.purging_seconds;

@@ -36,17 +36,12 @@ struct ExecStats {
   std::size_t comparisons_before_pruning = 0;
   std::size_t comparisons_after_metablocking = 0;
 
-  // Batch pipeline counters.
-  /// Morsels consumed by this session's parallel table scans (0 when every
-  /// scan ran sequentially).
+  // Retired batch pipeline counters, kept only because perfbench's
+  // parallel.morsels_per_query still reads them.
+  /// Always 0: table scans run sequentially and nothing writes this.
   std::size_t morsels_scanned = 0;
-  /// Probe morsels consumed by this session's parallel hash-join probes
-  /// (0 when every probe ran sequentially).
+  /// Always 0: join probes run sequentially and nothing writes this.
   std::size_t probe_morsels = 0;
-  /// Partial groups merged by parallel Group-Entities aggregations: the
-  /// summed group counts of the per-worker partial tables (0 when every
-  /// aggregation ran sequentially).
-  std::size_t partial_groups_merged = 0;
 
   // Stage timings (seconds), cumulative over all ER operators of the query.
   double blocking_seconds = 0;      // QBI construction.

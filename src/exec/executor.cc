@@ -55,7 +55,6 @@ OperatorCategory CategoryOf(PlanKind kind) {
 
 Executor::Executor(const Catalog* catalog, RuntimeRegistry* runtimes,
                    ExecStats* stats, ThreadPool* pool, std::size_t batch_size,
-                   std::shared_ptr<const std::atomic<bool>> session_cancel,
                    PlanProfile* profile, std::shared_ptr<TraceSink> trace,
                    std::shared_ptr<const CancelContext> cancel)
     : catalog_(catalog),
@@ -63,7 +62,6 @@ Executor::Executor(const Catalog* catalog, RuntimeRegistry* runtimes,
       stats_(stats),
       pool_(pool),
       batch_size_(batch_size == 0 ? 1 : batch_size),
-      session_cancel_(std::move(session_cancel)),
       profile_(profile),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)),
@@ -79,9 +77,7 @@ Result<OperatorPtr> Executor::LowerScan(const LogicalPlan& plan,
                                         OperatorProfile* parent) {
   QUERYER_ASSIGN_OR_RETURN(TablePtr table, catalog_->Get(plan.table_name));
   OperatorProfile* node = MakeNode(plan, parent);
-  OperatorPtr op(new TableScanOp(std::move(table), plan.table_alias, pool_,
-                                 batch_size_, stats_, session_id_,
-                                 session_cancel_, trace_));
+  OperatorPtr op(new TableScanOp(std::move(table), plan.table_alias));
   op->set_profile(node);
   return op;
 }
@@ -97,10 +93,9 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       return LowerScan(plan, parent);
     case PlanKind::kFilter: {
       // Filter over Scan fuses into the scan: the predicate runs against
-      // the table's stored rows, so rejected tuples are never copied —
-      // and a morsel-parallel scan evaluates it on the workers. The fused
-      // pair shares ONE profile node (there is one physical operator), with
-      // a label that shows both halves.
+      // the table's stored rows, so rejected tuples are never copied. The
+      // fused pair shares ONE profile node (there is one physical
+      // operator), with a label that shows both halves.
       if (plan.children[0]->kind == PlanKind::kScan) {
         QUERYER_ASSIGN_OR_RETURN(OperatorPtr child,
                                  LowerNode(*plan.children[0], parent));
@@ -163,10 +158,9 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       QUERYER_RETURN_NOT_OK(BindJoinKeys(left->output_columns(),
                                          right->output_columns(), &left_key,
                                          &right_key));
-      OperatorPtr op(new HashJoinOp(
-          std::move(left), std::move(right), std::move(left_key),
-          std::move(right_key), batch_size_, pool_, stats_, session_id_,
-          session_cancel_, trace_));
+      OperatorPtr op(new HashJoinOp(std::move(left), std::move(right),
+                                    std::move(left_key), std::move(right_key),
+                                    batch_size_));
       op->set_profile(node);
       return op;
     }
@@ -209,8 +203,8 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       OperatorProfile* node = MakeNode(plan, parent);
       QUERYER_ASSIGN_OR_RETURN(OperatorPtr child,
                                LowerNode(*plan.children[0], node));
-      OperatorPtr op(new GroupEntitiesOp(std::move(child), stats_, batch_size_,
-                                         pool_, trace_));
+      OperatorPtr op(
+          new GroupEntitiesOp(std::move(child), stats_, batch_size_, trace_));
       op->set_profile(node);
       return op;
     }

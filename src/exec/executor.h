@@ -3,16 +3,16 @@
 // Lowering is where the plan meets the engine's execution machinery: every
 // expression is cloned and bound against its child's output columns, a
 // Filter directly above a TableScan is fused into the scan, and the
-// engine's thread pool, batch size, per-query ExecStats and session id are
-// plumbed into the operators that use them (morsel-parallel scans, the
-// parallel join probe, parallel Group-Entities aggregation, the ER
-// operators' comparison execution). One Executor = one query session; see
-// docs/ARCHITECTURE.md for the full pipeline walkthrough.
+// engine's batch size, per-query ExecStats, trace sink and cancel context
+// are plumbed into the operators that use them. The thread pool goes to
+// the ER operators only, for their comparison execution; the relational
+// operators run sequentially on the consumer thread. One Executor = one
+// query session; see docs/ARCHITECTURE.md for the full pipeline
+// walkthrough.
 
 #ifndef QUERYER_EXEC_EXECUTOR_H_
 #define QUERYER_EXEC_EXECUTOR_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,23 +35,19 @@ namespace queryer {
 /// may run side by side over the same registry.
 class Executor {
  public:
-  /// `pool` is handed to the ER operators for their data-parallel phases
-  /// and to TableScan for morsel-parallel scans (null = sequential
-  /// execution, the default for direct construction). `batch_size` is the
-  /// RowBatch capacity of the whole pipeline (EngineOptions::batch_size).
-  /// `session_cancel` (may be null) is the session-level cancellation flag
-  /// linked into every morsel-driven operator's reorder window
-  /// (QueryCursor::Cancel raises it). `profile` (may be null) receives one
+  /// `pool` is handed to the ER operators for their comparison execution
+  /// (null = sequential execution, the default for direct construction).
+  /// `batch_size` is the RowBatch capacity of the whole pipeline
+  /// (EngineOptions::batch_size). `profile` (may be null) receives one
   /// OperatorProfile node per lowered operator, mirroring the plan tree —
   /// the substrate of EXPLAIN ANALYZE. `trace` (may be null) is this
-  /// session's trace sink, plumbed into the operators that emit spans and
-  /// morsel events. `cancel` (may be null) is the session's CancelContext
-  /// — cancel flag + deadline — handed to the ER operators, whose
-  /// comparison loops poll it so Cancel() / deadlines pre-empt resolution.
+  /// session's trace sink, plumbed into the operators that emit spans.
+  /// `cancel` (may be null) is the session's CancelContext — cancel flag +
+  /// deadline — handed to the ER operators, whose comparison loops poll it
+  /// so Cancel() / deadlines pre-empt resolution.
   Executor(const Catalog* catalog, RuntimeRegistry* runtimes, ExecStats* stats,
            ThreadPool* pool = nullptr,
            std::size_t batch_size = kDefaultBatchSize,
-           std::shared_ptr<const std::atomic<bool>> session_cancel = nullptr,
            PlanProfile* profile = nullptr,
            std::shared_ptr<TraceSink> trace = nullptr,
            std::shared_ptr<const CancelContext> cancel = nullptr);
@@ -66,9 +62,8 @@ class Executor {
   /// children).
   Result<OperatorPtr> Lower(const LogicalPlan& plan);
 
-  /// The session id tagging this executor's morsel tasks and trace events;
-  /// the engine stamps it into the cursor so failure messages name the
-  /// session they came from.
+  /// A process-unique id for this executor's session; the engine stamps it
+  /// into the cursor so failure messages name the session they came from.
   std::uint64_t session_id() const { return session_id_; }
 
  private:
@@ -88,13 +83,9 @@ class Executor {
   ExecStats* stats_;
   ThreadPool* pool_;
   std::size_t batch_size_;
-  std::shared_ptr<const std::atomic<bool>> session_cancel_;
   PlanProfile* profile_;
   std::shared_ptr<TraceSink> trace_;
   std::shared_ptr<const CancelContext> cancel_;
-  /// Tags this executor's morsel tasks so concurrent sessions sharing the
-  /// process-wide pool are distinguishable (fair FIFO interleaving is per
-  /// morsel; the tag identifies the session a morsel belongs to).
   std::uint64_t session_id_;
 };
 

@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "common/stopwatch.h"
-#include "parallel/reorder_window.h"
 
 namespace queryer {
 
@@ -15,17 +14,14 @@ struct Group {
   std::vector<std::vector<std::string>> variants;
 };
 
-/// A group table over one contiguous slice of the input: groups (and each
-/// group's variants) in slice-local first-seen order. The whole input is
-/// one slice on the sequential path; a morsel of it on the parallel path.
+/// The groups (and each group's variants) in first-seen order.
 struct GroupTable {
   std::vector<std::uint64_t> order;
   std::unordered_map<std::uint64_t, Group> groups;
 };
 
 /// Folds one row into the table, preserving first-seen order of groups and
-/// variants. Both the sequential path and every parallel worker use this,
-/// so the two paths cannot drift apart.
+/// variants.
 void AccumulateRow(const Row& row, std::size_t width, GroupTable* table) {
   auto [it, inserted] = table->groups.try_emplace(row.group_key);
   if (inserted) {
@@ -48,48 +44,14 @@ void AccumulateRow(const Row& row, std::size_t width, GroupTable* table) {
   }
 }
 
-/// Merges `partial` (the table of a later slice) into `merged`, preserving
-/// global first-seen order: groups new to `merged` are appended in the
-/// partial's order, and each attribute's variant list is extended with the
-/// partial's variants that are not yet present, in the partial's order.
-/// Merging slices in input order therefore reproduces the sequential
-/// accumulation exactly.
-void MergeGroupTable(GroupTable&& partial, std::size_t width,
-                     GroupTable* merged) {
-  for (std::uint64_t key : partial.order) {
-    Group& from = partial.groups[key];
-    auto [it, inserted] = merged->groups.try_emplace(key);
-    if (inserted) {
-      merged->order.push_back(key);
-      it->second = std::move(from);
-      continue;
-    }
-    Group& into = it->second;
-    for (std::size_t a = 0; a < width; ++a) {
-      auto& seen = into.variants[a];
-      for (std::string& value : from.variants[a]) {
-        bool duplicate = false;
-        for (const std::string& existing : seen) {
-          if (existing == value) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) seen.push_back(std::move(value));
-      }
-    }
-  }
-}
-
 }  // namespace
 
 GroupEntitiesOp::GroupEntitiesOp(OperatorPtr child, ExecStats* stats,
-                                 std::size_t batch_size, ThreadPool* pool,
+                                 std::size_t batch_size,
                                  std::shared_ptr<TraceSink> trace)
     : child_(std::move(child)),
       stats_(stats),
       batch_size_(batch_size),
-      pool_(pool),
       trace_(std::move(trace)) {
   output_columns_ = child_->output_columns();
 }
@@ -102,32 +64,7 @@ Status GroupEntitiesOp::OpenImpl() {
 
   const std::size_t width = output_columns_.size();
   GroupTable table;
-  const bool parallel = pool_ != nullptr && pool_->num_threads() > 1 &&
-                        input.size() > kMinMorselRows;
-  if (parallel) {
-    // Aggregate over morsels: per-chunk partial group tables built on the
-    // pool, merged deterministically in worker-chunk order. Fixed-size
-    // chunks, so the merge order — and thus the output — is independent
-    // of the pool width.
-    const std::vector<ChunkRange> chunks =
-        FixedSizeChunks(input.size(), kMinMorselRows);
-    std::vector<GroupTable> partials(chunks.size());
-    QUERYER_RETURN_NOT_OK(ParallelFor(
-        pool_, chunks,
-        [&](std::size_t chunk_index, std::size_t begin, std::size_t end) {
-          GroupTable& partial = partials[chunk_index];
-          for (std::size_t i = begin; i < end; ++i) {
-            AccumulateRow(input[i], width, &partial);
-          }
-          return Status::OK();
-        }));
-    for (GroupTable& partial : partials) {
-      stats_->partial_groups_merged += partial.order.size();
-      MergeGroupTable(std::move(partial), width, &table);
-    }
-  } else {
-    for (const Row& row : input) AccumulateRow(row, width, &table);
-  }
+  for (const Row& row : input) AccumulateRow(row, width, &table);
 
   output_.clear();
   output_.reserve(table.order.size());

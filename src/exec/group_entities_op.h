@@ -9,32 +9,18 @@
 #include "exec/exec_stats.h"
 #include "exec/operator.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 
 namespace queryer {
 
 /// \brief Physical Group-Entities operator. Groups child rows by group key
 /// (first-appearance order) and emits one fused row per group.
 /// `batch_size` sizes the batches draining the child.
-///
-/// With a multi-worker pool the aggregation runs over morsels: the drained
-/// input is cut into fixed-size chunks (kMinMorselRows rows), each
-/// aggregated on the pool into a per-worker partial group table that keeps
-/// its groups — and each group's attribute variants — in chunk-local
-/// first-seen order. The partials are then merged on the coordinator in
-/// worker-chunk order, which reproduces the global first-seen order
-/// exactly: the output is bit-identical to the sequential aggregation at
-/// every thread count (the chunking is fixed-size, so it does not even
-/// depend on the pool width).
 class GroupEntitiesOp final : public PhysicalOperator {
  public:
-  /// `pool` with more than one worker enables the parallel aggregation
-  /// (null = sequential); `stats` receives the group timing and the
-  /// partial-groups-merged counter; `trace` (may be null) receives the
+  /// `stats` receives the group timing; `trace` (may be null) receives the
   /// "group" span.
   GroupEntitiesOp(OperatorPtr child, ExecStats* stats,
                   std::size_t batch_size = kDefaultBatchSize,
-                  ThreadPool* pool = nullptr,
                   std::shared_ptr<TraceSink> trace = nullptr);
 
   Status OpenImpl() override;
@@ -48,7 +34,6 @@ class GroupEntitiesOp final : public PhysicalOperator {
   OperatorPtr child_;
   ExecStats* stats_;
   std::size_t batch_size_;
-  ThreadPool* pool_;
   std::shared_ptr<TraceSink> trace_;
   std::vector<Row> output_;
   std::size_t position_ = 0;

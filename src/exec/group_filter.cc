@@ -20,7 +20,9 @@ Status GroupFilterOp::OpenImpl() {
                            DrainOperator(child_.get(), batch_size_));
   std::unordered_set<std::uint64_t> passing_groups;
   for (const Row& row : input) {
-    if (predicate_->EvalBool(row.values)) passing_groups.insert(row.group_key);
+    if (predicate_->EvalBoolFast(row.values)) {
+      passing_groups.insert(row.group_key);
+    }
   }
   output_.clear();
   for (Row& row : input) {

@@ -1,10 +1,7 @@
 #include "exec/hash_join.h"
 
-#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "obs/metrics.h"
-#include "parallel/reorder_window.h"
 
 namespace queryer {
 
@@ -26,19 +23,10 @@ std::string JoinKeyOf(const Expr& key_expr, const RowRef& row) {
 
 namespace {
 
-// Concatenates left ++ right into `out`, element-wise so the out row's
-// string buffers are reused across batches.
-void ConcatInto(const Row& left, const Row& right, Row* out) {
-  const std::size_t ln = left.values.size();
-  const std::size_t rn = right.values.size();
-  out->values.resize(ln + rn);
-  for (std::size_t i = 0; i < ln; ++i) out->values[i] = left.values[i];
-  for (std::size_t i = 0; i < rn; ++i) out->values[ln + i] = right.values[i];
-}
-
-// Same, with the left side read out of a batch (owned or reference mode):
-// a reference-mode probe row materializes here, only on a match — the
-// join's late-materialization point.
+// Concatenates left ++ right into `out`, with the left side read out of a
+// batch (owned or reference mode): a reference-mode probe row materializes
+// here, only on a match — the join's late-materialization point. Element-
+// wise, so the out row's string buffers are reused across batches.
 void ConcatInto(const RowBatch& left_batch, std::size_t i, const Row& right,
                 Row* out) {
   const std::size_t ln = left_batch.width(i);
@@ -53,74 +41,13 @@ void ConcatInto(const RowBatch& left_batch, std::size_t i, const Row& right,
 
 }  // namespace
 
-/// Shared between the consuming operator and its probe tasks. Tasks hold
-/// the shared_ptr (plus the build table and key expression), so a join
-/// abandoned mid-stream stays memory-safe: straggler tasks finish against
-/// this state and the last reference frees it.
-struct HashJoinOp::ProbeState {
-  std::shared_ptr<const BuildTable> build;
-  std::shared_ptr<const Expr> key;
-  std::uint64_t session_id = 0;
-  std::shared_ptr<TraceSink> trace;  // May be null; held for stragglers.
-
-  /// In-order emission + bounded in-flight probe morsels (backpressure).
-  ReorderWindow<std::vector<Row>> window;
-
-  explicit ProbeState(std::size_t window_size) : window(window_size) {}
-
-  /// Pool task body: probes one morsel of left rows against the immutable
-  /// build table into a per-worker output buffer. Output rows carry no
-  /// group key yet — the coordinator assigns group keys at emission, in
-  /// output order, so they match the sequential probe exactly.
-  void RunMorsel(std::size_t slot, std::vector<Row> rows) {
-    std::vector<Row> out;
-    if (!window.cancelled()) {
-      try {
-        QUERYER_FAILPOINT_THROW("join.probe_morsel");
-        for (const Row& left : rows) {
-          std::string k = JoinKeyOf(*key, left.values);
-          if (k.empty()) continue;  // NULL keys never join.
-          auto it = build->find(k);
-          if (it == build->end()) continue;
-          for (const Row& right : it->second) {
-            Row joined;
-            ConcatInto(left, right, &joined);
-            joined.entity_id = kInvalidEntityId;
-            out.push_back(std::move(joined));
-          }
-        }
-      } catch (const std::exception& e) {
-        window.Fail(slot, e.what());
-        return;
-      }
-      if (trace != nullptr) {
-        trace->Instant("probe-morsel", "morsel",
-                       "\"session\":" + std::to_string(session_id) +
-                           ",\"morsel\":" + std::to_string(slot) +
-                           ",\"rows_in\":" + std::to_string(rows.size()) +
-                           ",\"rows_out\":" + std::to_string(out.size()));
-      }
-    }
-    window.Complete(slot, std::move(out));
-  }
-};
-
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
-                       ExprPtr right_key, std::size_t batch_size,
-                       ThreadPool* pool, ExecStats* stats,
-                       std::uint64_t session_id,
-                       std::shared_ptr<const std::atomic<bool>> session_cancel,
-                       std::shared_ptr<TraceSink> trace)
+                       ExprPtr right_key, std::size_t batch_size)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_key_(std::move(left_key)),
       right_key_(std::move(right_key)),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
-      pool_(pool),
-      stats_(stats),
-      session_id_(session_id),
-      session_cancel_(std::move(session_cancel)),
-      trace_(std::move(trace)) {
+      batch_size_(batch_size == 0 ? 1 : batch_size) {
   QUERYER_CHECK(left_key_->IsBound());
   QUERYER_CHECK(right_key_->IsBound());
   output_columns_ = left_->output_columns();
@@ -129,120 +56,34 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
   }
 }
 
-bool HashJoinOp::UseParallelProbe() const {
-  // A parallel probe needs a pool with real parallelism and a non-empty
-  // build table (an empty one joins nothing — draining the left child
-  // sequentially is strictly cheaper).
-  return pool_ != nullptr && pool_->num_threads() > 1 &&
-         !build_side_->empty();
-}
-
 Status HashJoinOp::OpenImpl() {
   QUERYER_RETURN_NOT_OK(left_->Open());
   QUERYER_ASSIGN_OR_RETURN(std::vector<Row> rows,
                            DrainOperator(right_.get(), batch_size_));
-  BuildTable build;
+  build_side_.clear();
   // Sizing the table for one row per bucket up front avoids the rehash
   // cascade the per-tuple inserts used to pay.
-  build.reserve(rows.size());
+  build_side_.reserve(rows.size());
   for (Row& row : rows) {
     std::string key = JoinKeyOf(*right_key_, row.values);
     if (key.empty()) continue;  // NULL keys never join.
-    build[std::move(key)].push_back(std::move(row));
+    build_side_[std::move(key)].push_back(std::move(row));
   }
-  build_side_ = std::make_shared<const BuildTable>(std::move(build));
   probe_live_ = false;
   probe_pos_ = 0;
   current_matches_ = nullptr;
   match_index_ = 0;
   done_ = false;
   output_counter_ = 0;
-  left_done_ = false;
-  out_buffer_.clear();
-  out_pos_ = 0;
-  probe_state_.reset();
-  if (UseParallelProbe()) {
-    // Same window sizing as the parallel scan: each consumed morsel funds
-    // one replacement task, bounding the buffered output.
-    probe_state_ = std::make_shared<ProbeState>(2 * pool_->num_threads());
-    // Link BEFORE the first dispatch: a cursor's Cancel() must reach
-    // probe morsels that are already queued on the pool.
-    probe_state_->window.LinkSessionCancel(session_cancel_);
-    probe_state_->build = build_side_;
-    probe_state_->key = left_key_;
-    probe_state_->session_id = session_id_;
-    probe_state_->trace = trace_;
-  }
   return Status::OK();
 }
 
-Status HashJoinOp::DispatchProbeMorsels() {
-  ProbeState& state = *probe_state_;
-  const std::size_t morsel_rows = MorselRowsFor(batch_size_);
-  while (!left_done_ && state.window.HasCapacity()) {
-    // Accumulate one probe morsel's worth of left rows. The left child may
-    // legally return empty batches mid-stream, so pull until the morsel is
-    // full or the stream definitively ends.
-    std::vector<Row> morsel;
-    morsel.reserve(morsel_rows);
-    while (morsel.size() < morsel_rows) {
-      QUERYER_ASSIGN_OR_RETURN(bool has, left_->Next(probe_.get()));
-      if (!has) {
-        left_done_ = true;
-        break;
-      }
-      for (std::size_t i = 0; i < probe_->size(); ++i) {
-        // Owned rows move; reference rows (a scan feeding the probe)
-        // materialize here so the task can probe without the batch.
-        morsel.emplace_back();
-        probe_->MoveRowInto(i, &morsel.back());
-      }
-    }
-    if (morsel.empty()) break;
-    std::size_t slot;
-    if (!state.window.TryAcquire(&slot)) break;  // Unreachable: capacity held.
-    std::shared_ptr<ProbeState> shared = probe_state_;
-    pool_->Submit([shared, slot, m = std::move(morsel)]() mutable {
-      shared->RunMorsel(slot, std::move(m));
-    });
-  }
-  return Status::OK();
-}
-
-Result<bool> HashJoinOp::NextParallel(RowBatch* batch) {
-  ProbeState& state = *probe_state_;
-  while (!batch->full()) {
-    if (out_pos_ < out_buffer_.size()) {
-      // Rows leave the probed buffer by move; group keys are assigned
-      // here, in emission order, matching the sequential probe.
-      while (out_pos_ < out_buffer_.size() && !batch->full()) {
-        Row* out = batch->AppendRow();
-        *out = std::move(out_buffer_[out_pos_++]);
-        out->group_key = output_counter_++;
-      }
-      continue;
-    }
-    QUERYER_RETURN_NOT_OK(DispatchProbeMorsels());
-    if (!state.window.HasPending()) break;  // Left drained, all emitted.
-    Result<std::vector<Row>> probed = state.window.AwaitNext();
-    if (!probed.ok()) {
-      // AwaitNext already cancelled the window; queued tasks drain fast.
-      return Status::ExecutionError(
-          "parallel join probe failed (session " +
-          std::to_string(state.session_id) +
-          "): " + probed.status().message());
-    }
-    out_buffer_ = std::move(*probed);
-    out_pos_ = 0;
-    if (stats_ != nullptr) ++stats_->probe_morsels;
-    GlobalEngineMetrics().probe_morsels->Increment();
-  }
-  return !batch->empty() || out_pos_ < out_buffer_.size() ||
-         state.window.HasPending() || !left_done_;
-}
-
-Result<bool> HashJoinOp::NextSequential(RowBatch* batch) {
+Result<bool> HashJoinOp::NextImpl(RowBatch* batch) {
+  batch->Clear();
   if (done_) return false;
+  if (probe_ == nullptr) {
+    probe_ = std::make_unique<RowBatch>(batch->capacity());
+  }
   while (!batch->full()) {
     if (current_matches_ != nullptr) {
       if (match_index_ < current_matches_->size()) {
@@ -269,8 +110,8 @@ Result<bool> HashJoinOp::NextSequential(RowBatch* batch) {
       continue;  // The new batch may itself be empty.
     }
     std::string key = JoinKeyOf(*left_key_, probe_->RowRefAt(probe_pos_));
-    auto it = key.empty() ? build_side_->end() : build_side_->find(key);
-    if (it == build_side_->end()) {
+    auto it = key.empty() ? build_side_.end() : build_side_.find(key);
+    if (it == build_side_.end()) {
       ++probe_pos_;
       continue;
     }
@@ -280,30 +121,11 @@ Result<bool> HashJoinOp::NextSequential(RowBatch* batch) {
   return !batch->empty() || !done_;
 }
 
-Result<bool> HashJoinOp::NextImpl(RowBatch* batch) {
-  batch->Clear();
-  if (probe_ == nullptr) {
-    probe_ = std::make_unique<RowBatch>(batch->capacity());
-  }
-  if (probe_state_ != nullptr) return NextParallel(batch);
-  return NextSequential(batch);
-}
-
-void HashJoinOp::CancelProbe() {
-  if (probe_state_ != nullptr) {
-    // Stragglers deposit empty results and exit; the shared state keeps
-    // them (and the build table) safe after this operator is gone.
-    probe_state_->window.Cancel();
-    probe_state_.reset();
-  }
-}
-
 void HashJoinOp::CloseImpl() {
   left_->Close();
   // Right child already closed by DrainOperator in Open().
-  CancelProbe();
-  build_side_.reset();
-  out_buffer_.clear();
+  build_side_.clear();
+  current_matches_ = nullptr;
 }
 
 }  // namespace queryer

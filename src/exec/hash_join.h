@@ -1,20 +1,16 @@
-// HashJoin: classic equi hash join (build right, probe left), with a
-// morsel-driven parallel probe. Used for plain (non-DEDUP) queries and as
-// the relational sub-join inside the Deduplicate-Join operator.
+// HashJoin: classic equi hash join (build right, probe left). Used for
+// plain (non-DEDUP) queries and as the relational sub-join inside the
+// Deduplicate-Join operator.
 
 #ifndef QUERYER_EXEC_HASH_JOIN_H_
 #define QUERYER_EXEC_HASH_JOIN_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "exec/exec_stats.h"
 #include "exec/operator.h"
-#include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "plan/expr.h"
 
 namespace queryer {
@@ -31,77 +27,30 @@ std::string JoinKeyOf(const Expr& key_expr, const RowRef& row);
 /// respective child's columns. Output: left columns ++ right columns.
 ///
 /// The build side is drained once at Open (with the hash table sized up
-/// front). Sequentially, probing pulls left batches and emits the
-/// concatenated rows into the output batch, suspending mid-match-list when
-/// it fills. `batch_size` sizes the build-side drain batches.
-///
-/// With a multi-worker pool the probe side runs in parallel: left batches
-/// are accumulated into probe morsels (max(batch capacity, kMinMorselRows)
-/// rows) and dispatched as one session-tagged pool task each, which probes
-/// the immutable build table into a per-worker output buffer. Finished
-/// buffers come back through the same bounded ReorderWindow the parallel
-/// table scan uses (parallel/reorder_window.h) and are emitted strictly in
-/// probe order, with output group keys assigned at emission — so the join's
-/// output is bit-identical to the sequential probe at every thread count ×
-/// batch size.
+/// front). Probing pulls left batches and emits the concatenated rows into
+/// the output batch, suspending mid-match-list when it fills, so output
+/// follows probe order. `batch_size` sizes the build-side drain batches.
 class HashJoinOp final : public PhysicalOperator {
  public:
-  /// `pool` with more than one worker enables the parallel probe; `stats`
-  /// (may be null) receives the probe-morsel counter; `session_id` tags
-  /// this join's probe tasks; `session_cancel` (may be null) is the
-  /// session-level cancellation flag the probe window observes
-  /// (QueryCursor::Cancel); `trace` (may be null) receives one
-  /// "probe-morsel" instant event per morsel on the worker that probed it.
   HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
-             ExprPtr right_key, std::size_t batch_size = kDefaultBatchSize,
-             ThreadPool* pool = nullptr, ExecStats* stats = nullptr,
-             std::uint64_t session_id = 0,
-             std::shared_ptr<const std::atomic<bool>> session_cancel =
-                 nullptr,
-             std::shared_ptr<TraceSink> trace = nullptr);
-
-  /// Cancels any in-flight probe morsels: a query that dies in ANOTHER
-  /// operator destroys this join without Close() (DrainOperator's error
-  /// path), and window-queued tasks must not keep probing for a dead query.
-  ~HashJoinOp() override { CancelProbe(); }
+             ExprPtr right_key, std::size_t batch_size = kDefaultBatchSize);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* batch) override;
   void CloseImpl() override;
 
  private:
-  struct ProbeState;
-  /// Join key -> build-side rows. Immutable once built, so probe tasks
-  /// share it without synchronization.
-  using BuildTable = std::unordered_map<std::string, std::vector<Row>>;
-
-  bool UseParallelProbe() const;
-  Result<bool> NextSequential(RowBatch* batch);
-  Result<bool> NextParallel(RowBatch* batch);
-  /// Pulls left batches into probe morsels and dispatches them until the
-  /// reorder window is full or the left child is exhausted.
-  Status DispatchProbeMorsels();
-  void CancelProbe();
-
   OperatorPtr left_;
   OperatorPtr right_;
-  // Shared with in-flight probe tasks, which may outlive a Close().
-  std::shared_ptr<const Expr> left_key_;
+  ExprPtr left_key_;
   ExprPtr right_key_;
   std::size_t batch_size_;
-  ThreadPool* pool_;
-  ExecStats* stats_;
-  std::uint64_t session_id_;
-  std::shared_ptr<const std::atomic<bool>> session_cancel_;
-  // shared_ptr: straggler probe tasks may outlive this operator.
-  std::shared_ptr<TraceSink> trace_;
 
-  // Shared with in-flight probe tasks (read-only after Open).
-  std::shared_ptr<const BuildTable> build_side_;
+  /// Join key -> build-side rows.
+  std::unordered_map<std::string, std::vector<Row>> build_side_;
 
-  // Probe state shared by both modes: the current probe batch and, for the
-  // sequential path, the probing row within it and the position in that
-  // row's match list.
+  // The current probe batch, the probing row within it and the position in
+  // that row's match list.
   std::unique_ptr<RowBatch> probe_;
   bool probe_live_ = false;     // probe_ holds an undrained batch.
   std::size_t probe_pos_ = 0;
@@ -109,12 +58,6 @@ class HashJoinOp final : public PhysicalOperator {
   std::size_t match_index_ = 0;
   bool done_ = false;
   std::uint64_t output_counter_ = 0;
-
-  // Parallel probe state (created at Open when the pool qualifies).
-  std::shared_ptr<ProbeState> probe_state_;
-  bool left_done_ = false;       // Left child exhausted.
-  std::vector<Row> out_buffer_;  // Probed morsel being emitted.
-  std::size_t out_pos_ = 0;
 };
 
 }  // namespace queryer

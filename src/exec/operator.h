@@ -24,7 +24,7 @@ namespace queryer {
 /// Protocol: Open() once, Next() until it returns false, Close() once.
 /// Next() clears and refills the caller's batch with up to
 /// `batch->capacity()` rows. A true return with an EMPTY batch is legal mid
-/// stream (e.g. a fully filtered morsel) — callers keep pulling until Next
+/// stream (e.g. a fully filtered batch) — callers keep pulling until Next
 /// returns false, which definitively ends the stream. Callers reuse one
 /// RowBatch across all Next calls so the row storage is recycled.
 /// `output_columns()` is valid after construction and lists qualified

@@ -30,7 +30,7 @@
 namespace queryer {
 
 /// \brief A bound predicate compiled against one table's storage. Cheap to
-/// copy (morsel tasks carry one by value; the truth table is shared).
+/// copy (the truth table is shared).
 class TablePredicate {
  public:
   /// Matches every row (a scan with no fused predicate).

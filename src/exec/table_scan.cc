@@ -1,135 +1,25 @@
 #include "exec/table_scan.h"
 
-#include <algorithm>
-
-#include "common/failpoint.h"
-#include "obs/metrics.h"
-
 namespace queryer {
 
-/// Shared between the consuming operator and its pool tasks. Tasks hold the
-/// shared_ptr (plus the table), so a scan abandoned mid-stream (Close with
-/// morsels still in flight) stays memory-safe: the straggler tasks finish
-/// against this state and the last reference frees it.
-struct TableScanOp::MorselScan {
-  TablePtr table;
-  // Keeps the Expr behind `predicate` alive for straggler tasks.
-  std::shared_ptr<const Expr> predicate_expr;
-  TablePredicate predicate;
-  std::size_t morsel_rows = 0;
-  std::size_t num_morsels = 0;
-  std::uint64_t session_id = 0;
-  std::shared_ptr<TraceSink> trace;  // May be null; held for stragglers.
-
-  /// In-order emission + bounded in-flight morsels (backpressure).
-  ReorderWindow<std::vector<EntityId>> window;
-
-  explicit MorselScan(std::size_t window_size) : window(window_size) {}
-
-  /// Pool task body: evaluates the predicate over morsel `m` and deposits
-  /// the surviving entity ids — no strings are touched. A cancelled scan
-  /// deposits an empty result so the window's accounting stays whole.
-  void RunMorsel(std::size_t m) {
-    std::vector<EntityId> out;
-    if (!window.cancelled()) {
-      try {
-        // Inside the try: an injected throw takes the window.Fail path,
-        // exactly like a real predicate failure.
-        QUERYER_FAILPOINT_THROW("scan.morsel");
-        const std::size_t begin = m * morsel_rows;
-        const std::size_t end =
-            std::min(begin + morsel_rows, table->num_rows());
-        out.reserve(end - begin);
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          const EntityId id = static_cast<EntityId>(pos);
-          if (predicate.Matches(id)) out.push_back(id);
-        }
-      } catch (const std::exception& e) {
-        window.Fail(m, e.what());
-        return;
-      }
-      if (trace != nullptr) {
-        trace->Instant("scan-morsel", "morsel",
-                       "\"session\":" + std::to_string(session_id) +
-                           ",\"morsel\":" + std::to_string(m) +
-                           ",\"rows\":" + std::to_string(out.size()));
-      }
-    }
-    window.Complete(m, std::move(out));
-  }
-};
-
-TableScanOp::TableScanOp(TablePtr table, std::string alias, ThreadPool* pool,
-                         std::size_t batch_size, ExecStats* stats,
-                         std::uint64_t session_id,
-                         std::shared_ptr<const std::atomic<bool>> session_cancel,
-                         std::shared_ptr<TraceSink> trace)
-    : table_(std::move(table)),
-      pool_(pool),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
-      stats_(stats),
-      session_id_(session_id),
-      session_cancel_(std::move(session_cancel)),
-      trace_(std::move(trace)) {
+TableScanOp::TableScanOp(TablePtr table, std::string alias)
+    : table_(std::move(table)) {
   output_columns_.reserve(table_->num_attributes());
   for (const std::string& name : table_->schema().names()) {
     output_columns_.push_back(alias + "." + name);
   }
 }
 
-bool TableScanOp::UseMorsels() const {
-  // A parallel scan needs at least two morsels' worth of rows and a pool
-  // with real parallelism; otherwise the sequential path is strictly
-  // cheaper and, by construction, produces the same row order.
-  return pool_ != nullptr && pool_->num_threads() > 1 &&
-         table_->num_rows() > MorselRowsFor(batch_size_);
-}
-
 Status TableScanOp::OpenImpl() {
   position_ = 0;
-  buffer_.clear();
-  buffer_pos_ = 0;
-  submitted_ = 0;
-  morsels_.reset();
   table_predicate_ = predicate_ != nullptr
                          ? TablePredicate(predicate_.get(), table_.get())
                          : TablePredicate();
-  if (UseMorsels()) {
-    // Window size: enough in-flight morsels to keep every worker fed, few
-    // enough to bound the reorder buffer. Each consumed morsel funds one
-    // replacement task, so at most `window` result buffers ever coexist.
-    morsels_ = std::make_shared<MorselScan>(2 * pool_->num_threads());
-    // Link BEFORE the first dispatch: a cursor's Cancel() must reach
-    // morsels that are already queued on the pool.
-    morsels_->window.LinkSessionCancel(session_cancel_);
-    morsels_->table = table_;
-    morsels_->predicate_expr = predicate_;
-    morsels_->predicate = table_predicate_;
-    morsels_->morsel_rows = MorselRowsFor(batch_size_);
-    morsels_->num_morsels =
-        (table_->num_rows() + morsels_->morsel_rows - 1) /
-        morsels_->morsel_rows;
-    morsels_->session_id = session_id_;
-    morsels_->trace = trace_;
-    // Prime the window up to its capacity (or the whole table).
-    while (SubmitMorselTask()) {
-    }
-  }
   return Status::OK();
 }
 
-bool TableScanOp::SubmitMorselTask() {
-  MorselScan& state = *morsels_;
-  if (submitted_ >= state.num_morsels) return false;  // Table dispatched.
-  std::size_t slot;
-  if (!state.window.TryAcquire(&slot)) return false;  // Window full.
-  ++submitted_;  // == slot + 1: the single coordinator acquires in order.
-  std::shared_ptr<MorselScan> shared = morsels_;
-  pool_->Submit([shared, slot] { shared->RunMorsel(slot); });
-  return true;
-}
-
-Result<bool> TableScanOp::NextSequential(RowBatch* batch) {
+Result<bool> TableScanOp::NextImpl(RowBatch* batch) {
+  batch->Clear();
   const std::size_t n = table_->num_rows();
   batch->BeginReference(table_.get());
   while (position_ < n && !batch->full()) {
@@ -139,57 +29,6 @@ Result<bool> TableScanOp::NextSequential(RowBatch* batch) {
     ++position_;
   }
   return position_ < n || !batch->empty();
-}
-
-Result<bool> TableScanOp::NextMorsel(RowBatch* batch) {
-  MorselScan& state = *morsels_;
-  batch->BeginReference(table_.get());
-  while (!batch->full()) {
-    if (buffer_pos_ < buffer_.size()) {
-      while (buffer_pos_ < buffer_.size() && !batch->full()) {
-        const EntityId id = buffer_[buffer_pos_++];
-        batch->AppendReference(id, id);
-      }
-      continue;
-    }
-    if (state.window.emitted() >= state.num_morsels) break;
-    Result<std::vector<EntityId>> morsel = state.window.AwaitNext();
-    if (!morsel.ok()) {
-      // Abandon the scan: window-queued tasks must not keep materializing
-      // morsels for a dead query on the shared pool (AwaitNext already
-      // cancelled the window).
-      return Status::ExecutionError(
-          "parallel scan failed (session " + std::to_string(state.session_id) +
-          "): " + morsel.status().message());
-    }
-    buffer_ = std::move(*morsel);
-    buffer_pos_ = 0;
-    if (stats_ != nullptr) ++stats_->morsels_scanned;
-    GlobalEngineMetrics().scan_morsels->Increment();
-    SubmitMorselTask();
-  }
-  return !batch->empty() || state.window.emitted() < state.num_morsels ||
-         buffer_pos_ < buffer_.size();
-}
-
-Result<bool> TableScanOp::NextImpl(RowBatch* batch) {
-  batch->Clear();
-  if (morsels_ != nullptr) return NextMorsel(batch);
-  return NextSequential(batch);
-}
-
-void TableScanOp::CancelMorsels() {
-  if (morsels_ != nullptr) {
-    // Stragglers deposit empty results and exit; the shared state keeps
-    // them safe after this operator is gone.
-    morsels_->window.Cancel();
-    morsels_.reset();
-  }
-}
-
-void TableScanOp::CloseImpl() {
-  CancelMorsels();
-  buffer_.clear();
 }
 
 }  // namespace queryer

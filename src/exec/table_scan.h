@@ -1,19 +1,13 @@
 // TableScan: the batch source of the pipeline, with an optional fused
-// filter predicate and a morsel-driven parallel mode.
+// filter predicate.
 
 #ifndef QUERYER_EXEC_TABLE_SCAN_H_
 #define QUERYER_EXEC_TABLE_SCAN_H_
 
-#include <atomic>
-#include <memory>
 #include <string>
 
-#include "exec/exec_stats.h"
 #include "exec/operator.h"
 #include "exec/table_predicate.h"
-#include "obs/trace.h"
-#include "parallel/reorder_window.h"
-#include "parallel/thread_pool.h"
 #include "plan/expr.h"
 #include "storage/table.h"
 
@@ -35,38 +29,10 @@ namespace queryer {
 /// load and one byte lookup; multi-column predicates evaluate over
 /// string_views straight out of the dictionaries. Either way, rejected
 /// tuples cost zero materialization — the selection-vector idea applied at
-/// the source.
-///
-/// With a multi-worker pool the scan is a morsel-driven parallel source:
-/// the table is cut into morsels (max(batch capacity, kMinMorselRows) rows)
-/// dispatched as one pool task each. One task = one morsel, so the shared
-/// FIFO pool interleaves concurrent sessions' scans fairly — a long scan
-/// cannot starve another session's morsels — and every task carries its
-/// session tag. Finished morsels are handed back through a bounded
-/// ReorderWindow (see parallel/reorder_window.h; HashJoinOp's parallel
-/// probe shares the same machinery) and emitted strictly in table order,
-/// which keeps query answers bit-identical to the sequential scan at every
-/// thread count.
+/// the source. Rows are emitted in table order.
 class TableScanOp final : public PhysicalOperator {
  public:
-  /// `pool` with more than one worker enables the morsel-parallel mode.
-  /// `batch_size` sizes the morsels; `stats` (may be null) receives the
-  /// morsel counters; `session_id` tags this scan's morsel tasks;
-  /// `session_cancel` (may be null) is the session-level cancellation flag
-  /// the morsel window observes (QueryCursor::Cancel); `trace` (may be
-  /// null) receives one "scan-morsel" instant event per morsel, emitted on
-  /// the worker thread that evaluated it.
-  TableScanOp(TablePtr table, std::string alias, ThreadPool* pool = nullptr,
-              std::size_t batch_size = kDefaultBatchSize,
-              ExecStats* stats = nullptr, std::uint64_t session_id = 0,
-              std::shared_ptr<const std::atomic<bool>> session_cancel =
-                  nullptr,
-              std::shared_ptr<TraceSink> trace = nullptr);
-
-  /// Cancels any in-flight morsels: a query that dies in ANOTHER operator
-  /// destroys this scan without Close() (DrainOperator's error path), and
-  /// the window-queued tasks must not keep materializing for a dead query.
-  ~TableScanOp() override { CancelMorsels(); }
+  TableScanOp(TablePtr table, std::string alias);
 
   /// Fuses a filter into the scan. `predicate` must be bound against this
   /// scan's output_columns(). Call before Open().
@@ -74,42 +40,14 @@ class TableScanOp final : public PhysicalOperator {
 
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* batch) override;
-  void CloseImpl() override;
+  void CloseImpl() override {}
 
  private:
-  struct MorselScan;
-
-  bool UseMorsels() const;
-  Result<bool> NextSequential(RowBatch* batch);
-  Result<bool> NextMorsel(RowBatch* batch);
-  /// Dispatches the next undispatched morsel if the reorder window has
-  /// capacity; returns false when the table is fully dispatched or the
-  /// window is full.
-  bool SubmitMorselTask();
-  void CancelMorsels();
-
   TablePtr table_;
-  // Shared with in-flight morsel tasks, which may outlive a Close().
-  std::shared_ptr<const Expr> predicate_;
-  ThreadPool* pool_;
-  std::size_t batch_size_;
-  ExecStats* stats_;
-  std::uint64_t session_id_;
-  std::shared_ptr<const std::atomic<bool>> session_cancel_;
-  // shared_ptr: straggler morsel tasks may outlive this operator.
-  std::shared_ptr<TraceSink> trace_;
-
+  ExprPtr predicate_;
   // Compiled form of predicate_ against table_ (built at Open).
   TablePredicate table_predicate_;
-
-  // Sequential cursor.
   EntityId position_ = 0;
-
-  // Morsel mode state (created at Open).
-  std::shared_ptr<MorselScan> morsels_;
-  std::vector<EntityId> buffer_;  // Survivors of the morsel being emitted.
-  std::size_t buffer_pos_ = 0;
-  std::size_t submitted_ = 0;     // Tasks handed to the pool so far.
 };
 
 }  // namespace queryer

@@ -68,9 +68,11 @@ struct MetaBlockingResult {
 /// collection (the EQBI of Block-Join) and returns the surviving
 /// comparisons, identical at every thread count.
 ///
-/// Every stage runs on the calling thread. `pool` is kept for callers that
-/// pass one and is not used: splitting even batch ER's whole-table pass
-/// across workers measured slower end to end (docs/ARCHITECTURE.md).
+/// Every stage runs on the calling thread: splitting even batch ER's
+/// whole-table pass across workers measured slower end to end
+/// (docs/ARCHITECTURE.md). `pool` is unused; it stays only because
+/// perfbench's funnel replay (perfbench/src/util.cc) passes one and
+/// perfbench is kept source-compatible with the engine.
 /// `trace` (may be null) receives one span per stage, named `purging`,
 /// `filtering` and `edge-pruning`.
 MetaBlockingResult RunMetaBlocking(BlockCollection blocks,

@@ -270,8 +270,6 @@ const EngineMetrics& GlobalEngineMetrics() {
     m->matches_found = reg.GetCounter("queryer_matches_found_total");
     m->link_index_hits = reg.GetCounter("queryer_link_index_hits_total");
     m->link_index_misses = reg.GetCounter("queryer_link_index_misses_total");
-    m->scan_morsels = reg.GetCounter("queryer_scan_morsels_total");
-    m->probe_morsels = reg.GetCounter("queryer_probe_morsels_total");
     m->pool_queue_depth = reg.GetGauge("queryer_threadpool_queue_depth");
     m->pool_task_wait =
         reg.GetHistogram("queryer_threadpool_task_wait_seconds");

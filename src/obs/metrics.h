@@ -158,10 +158,6 @@ struct EngineMetrics {
   Counter* link_index_hits;    // Query entities served already-resolved.
   Counter* link_index_misses;  // Query entities resolved fresh.
 
-  // Batch pipeline (morsel sources).
-  Counter* scan_morsels;
-  Counter* probe_morsels;
-
   // ThreadPool.
   Gauge* pool_queue_depth;           // Tasks submitted, not yet started.
   LatencyHistogram* pool_task_wait;  // Submit -> task start.

@@ -8,8 +8,8 @@
 //
 // Profile writes are single-threaded by construction: only the consumer
 // thread that drives the operator tree calls Open/Next/Close, so the fields
-// are plain (non-atomic) and TSan-clean. Worker-side morsel work is visible
-// in metrics and trace events instead.
+// are plain (non-atomic) and TSan-clean. Worker-side comparison work is
+// visible in the ER-stage stats, metrics and trace spans instead.
 
 #ifndef QUERYER_OBS_OPERATOR_PROFILE_H_
 #define QUERYER_OBS_OPERATOR_PROFILE_H_

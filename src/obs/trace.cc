@@ -45,22 +45,8 @@ void TraceSink::Complete(std::string name, const char* category,
   Event event;
   event.name = std::move(name);
   event.category = category;
-  event.phase = 'X';
   event.ts_micros = MicrosSince(begin);
   event.dur_micros = std::max<std::int64_t>(0, MicrosSince(end) - event.ts_micros);
-  event.tid = CurrentTraceThreadId();
-  event.args_json = std::move(args_json);
-  Append(std::move(event));
-}
-
-void TraceSink::Instant(std::string name, const char* category,
-                        std::string args_json) {
-  Event event;
-  event.name = std::move(name);
-  event.category = category;
-  event.phase = 'i';
-  event.ts_micros = MicrosSince(Clock::now());
-  event.dur_micros = 0;
   event.tid = CurrentTraceThreadId();
   event.args_json = std::move(args_json);
   Append(std::move(event));
@@ -83,20 +69,11 @@ std::string TraceSink::ToJson() const {
     out += event.name;
     out += "\",\"cat\":\"";
     out += event.category;
-    out += "\",\"ph\":\"";
-    out += event.phase;
-    out += "\",\"pid\":1";
-    std::snprintf(buf, sizeof(buf), ",\"tid\":%u,\"ts\":%lld", event.tid,
-                  static_cast<long long>(event.ts_micros));
+    out += "\",\"ph\":\"X\",\"pid\":1";
+    std::snprintf(buf, sizeof(buf), ",\"tid\":%u,\"ts\":%lld,\"dur\":%lld",
+                  event.tid, static_cast<long long>(event.ts_micros),
+                  static_cast<long long>(event.dur_micros));
     out += buf;
-    if (event.phase == 'X') {
-      std::snprintf(buf, sizeof(buf), ",\"dur\":%lld",
-                    static_cast<long long>(event.dur_micros));
-      out += buf;
-    } else {
-      // Instant events: thread scope, so Perfetto draws them in-lane.
-      out += ",\"s\":\"t\"";
-    }
     if (!event.args_json.empty()) {
       out += ",\"args\":{";
       out += event.args_json;

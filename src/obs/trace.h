@@ -7,10 +7,8 @@
 // (verified by obs_test via TraceSink::TotalEventsRecorded()).
 //
 // Event model (docs/OBSERVABILITY.md documents the schema in full):
-//  * Complete events (ph:"X"): one span per plan / open / operator /
-//    ER-stage / emit, duration in microseconds.
-//  * Instant events (ph:"i"): one per scan/probe morsel, recorded ON the
-//    worker thread that ran it, so Perfetto renders one lane per worker.
+// complete events (ph:"X"), one span per plan / open / operator / ER-stage
+// / emit, duration in microseconds.
 // Timestamps are microseconds since the sink's construction; thread ids are
 // small dense integers assigned per OS thread on first use.
 
@@ -46,11 +44,6 @@ class TraceSink {
   void Complete(std::string name, const char* category, Clock::time_point begin,
                 Clock::time_point end, std::string args_json = {});
 
-  /// Records an instant ("i") event at now, attributed to the calling
-  /// thread — use from worker-thread task bodies.
-  void Instant(std::string name, const char* category,
-               std::string args_json = {});
-
   /// The sink's epoch; span begin/end time points must come from Clock.
   Clock::time_point epoch() const { return epoch_; }
 
@@ -72,9 +65,8 @@ class TraceSink {
   struct Event {
     std::string name;      // Owned: the sink can outlive whoever named the
     const char* category;  // span. Categories are string literals.
-    char phase;            // 'X' or 'i'.
     std::int64_t ts_micros;
-    std::int64_t dur_micros;  // Complete events only.
+    std::int64_t dur_micros;
     std::uint32_t tid;
     std::string args_json;
   };

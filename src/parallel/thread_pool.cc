@@ -1,6 +1,5 @@
 #include "parallel/thread_pool.h"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -169,16 +168,6 @@ std::vector<ChunkRange> SplitRange(std::size_t n, std::size_t num_chunks) {
     std::size_t size = base + (c < remainder ? 1 : 0);
     chunks.push_back({begin, begin + size});
     begin += size;
-  }
-  return chunks;
-}
-
-std::vector<ChunkRange> FixedSizeChunks(std::size_t n, std::size_t chunk_size) {
-  std::vector<ChunkRange> chunks;
-  if (chunk_size == 0) chunk_size = 1;
-  chunks.reserve((n + chunk_size - 1) / chunk_size);
-  for (std::size_t begin = 0; begin < n; begin += chunk_size) {
-    chunks.push_back({begin, std::min(begin + chunk_size, n)});
   }
   return chunks;
 }

@@ -1,7 +1,6 @@
 // The parallel-execution substrate: a fixed-size worker pool with a shared
-// task queue, plus the chunked ParallelFor primitive the engine's
-// data-parallel phases (comparison execution, once-off index construction)
-// are built on.
+// task queue, plus the chunked ParallelFor primitive the engine's one
+// data-parallel phase, comparison execution, is built on.
 //
 // Error handling follows the engine-wide Status idiom: ParallelFor bodies
 // return Status, and any exception a body throws is captured and converted
@@ -198,13 +197,6 @@ struct ChunkRange {
 /// an empty vector when n == 0. The chunking depends only on (n, num_chunks),
 /// never on scheduling — parallel phases rely on this for determinism.
 std::vector<ChunkRange> SplitRange(std::size_t n, std::size_t num_chunks);
-
-/// \brief Splits [0, n) into contiguous chunks of exactly `chunk_size`
-/// elements (the last chunk may be shorter). Unlike SplitRange, the chunk
-/// boundaries do not depend on the worker count, so phases whose
-/// chunk-order merge must be identical at every pool width (parallel
-/// Group-Entities aggregation) chunk with this.
-std::vector<ChunkRange> FixedSizeChunks(std::size_t n, std::size_t chunk_size);
 
 /// Body of a ParallelFor: processes [begin, end) as chunk `chunk_index`.
 using ParallelForBody =

@@ -98,14 +98,15 @@ class Expr {
   /// underlying strings either way.
   Value EvalValue(const RowRef& row) const;
 
-  /// Evaluates a predicate on a row. Must be bound first.
+  /// Evaluates a predicate on a row. Must be bound first. The generic
+  /// path EvalBoolFast falls back to; operators call EvalBoolFast.
   bool EvalBool(const RowRef& row) const;
 
   /// \brief EvalBool with the hot-loop fast path: comparisons of
   /// column/literal/MOD operands are decided allocation-free (no Value
   /// copies, no lowercased temporaries), everything else falls back to
-  /// EvalBool. Same result for every input; callers evaluating a predicate
-  /// per row in bulk (fused scans, FilterBatch) use this.
+  /// EvalBool. Same result for every input; every operator evaluating a
+  /// predicate (fused scans, FilterBatch, GroupFilter) uses this.
   bool EvalBoolFast(const RowRef& row) const;
 
   /// \brief Evaluates this predicate over a whole batch via EvalBoolFast,

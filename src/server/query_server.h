@@ -26,10 +26,10 @@
 // structured refusal and an immediate close). Connection handlers are
 // deliberately NOT ThreadPool::Shared() tasks: the pool's contract forbids
 // tasks that block on tasks they enqueue, and a handler blocks inside
-// engine calls (Open waits on admission, Fetch waits on morsel workers) —
-// running handlers on the pool would deadlock it at saturation. Dedicated
-// threads sidestep that whole class of inversion; the engine's pool stays
-// the only compute pool.
+// engine calls (Open waits on admission, a DEDUP's first Fetch waits on
+// the comparison workers) — running handlers on the pool would deadlock
+// it at saturation. Dedicated threads sidestep that whole class of
+// inversion; the engine's pool stays the only compute pool.
 //
 // Tenancy: HELLO binds the connection to a tenant id; every session (open
 // cursor or in-flight EXECUTE) is charged to that tenant's quota

@@ -1,20 +1,28 @@
 #include "storage/csv.h"
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 namespace queryer {
 
 namespace {
 
-// Parses one CSV record starting at `pos`; advances `pos` past the record's
-// trailing newline. Handles quoted fields with embedded delimiters/newlines
-// and doubled quotes.
-Result<std::vector<std::string>> ParseRecord(std::string_view text,
-                                             std::size_t* pos,
-                                             char delimiter) {
-  std::vector<std::string> fields;
-  std::string field;
+// Parses one CSV record starting at `pos` into `fields`; advances `pos`
+// past the record's trailing newline. Handles quoted fields with embedded
+// delimiters/newlines and doubled quotes. `fields` is caller-owned and
+// reused across records, so its strings keep their capacity and a record
+// costs no allocation once the buffers have grown.
+Status ParseRecord(std::string_view text, std::size_t* pos, char delimiter,
+                   std::vector<std::string>* fields) {
+  std::size_t count = 0;
+  auto next_field = [&]() -> std::string* {
+    if (count == fields->size()) fields->emplace_back();
+    std::string* field = &(*fields)[count++];
+    field->clear();
+    return field;
+  };
+  std::string* field = next_field();
   bool in_quotes = false;
   std::size_t i = *pos;
   for (; i < text.size(); ++i) {
@@ -22,35 +30,34 @@ Result<std::vector<std::string>> ParseRecord(std::string_view text,
     if (in_quotes) {
       if (c == '"') {
         if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
+          *field += '"';
           ++i;
         } else {
           in_quotes = false;
         }
       } else {
-        field += c;
+        *field += c;
       }
     } else if (c == '"') {
-      if (!field.empty()) {
+      if (!field->empty()) {
         return Status::ParseError("quote inside unquoted CSV field");
       }
       in_quotes = true;
     } else if (c == delimiter) {
-      fields.push_back(std::move(field));
-      field.clear();
+      field = next_field();
     } else if (c == '\r') {
       // Swallow; handled with the following '\n' (or ignored).
     } else if (c == '\n') {
       ++i;
       break;
     } else {
-      field += c;
+      *field += c;
     }
   }
   if (in_quotes) return Status::ParseError("unterminated quoted CSV field");
-  fields.push_back(std::move(field));
+  fields->resize(count);
   *pos = i;
-  return fields;
+  return Status::OK();
 }
 
 std::string EscapeField(std::string_view field, char delimiter) {
@@ -76,31 +83,31 @@ Result<TablePtr> ReadCsvString(std::string_view text, std::string table_name,
   std::vector<std::string> header;
   if (options.has_header) {
     if (pos >= text.size()) return Status::ParseError("empty CSV input");
-    QUERYER_ASSIGN_OR_RETURN(header, ParseRecord(text, &pos, options.delimiter));
+    QUERYER_RETURN_NOT_OK(ParseRecord(text, &pos, options.delimiter, &header));
   }
 
   // Records stream straight into the TableBuilder (one dictionary-encode
-  // pass, no row-major staging buffer). A headerless file needs its first
-  // record parsed before the schema arity is known.
-  std::vector<std::string> first_record;
+  // pass, no row-major staging buffer) through one reused field vector. A
+  // headerless file needs its first record parsed before the schema arity
+  // is known.
+  std::vector<std::string> record;
   bool has_first = false;
   if (!options.has_header) {
     std::size_t arity = 1;
     if (pos < text.size()) {
-      QUERYER_ASSIGN_OR_RETURN(first_record,
-                               ParseRecord(text, &pos, options.delimiter));
-      has_first = !(first_record.size() == 1 && first_record[0].empty());
-      if (has_first) arity = first_record.size();
+      QUERYER_RETURN_NOT_OK(
+          ParseRecord(text, &pos, options.delimiter, &record));
+      has_first = !(record.size() == 1 && record[0].empty());
+      if (has_first) arity = record.size();
     }
     for (std::size_t i = 0; i < arity; ++i) header.push_back("c" + std::to_string(i));
   }
 
   QUERYER_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(header)));
   TableBuilder builder(std::move(table_name), std::move(schema));
-  if (has_first) QUERYER_RETURN_NOT_OK(builder.AddRow(first_record));
-  std::vector<std::string> record;
+  if (has_first) QUERYER_RETURN_NOT_OK(builder.AddRow(record));
   while (pos < text.size()) {
-    QUERYER_ASSIGN_OR_RETURN(record, ParseRecord(text, &pos, options.delimiter));
+    QUERYER_RETURN_NOT_OK(ParseRecord(text, &pos, options.delimiter, &record));
     // Skip blank trailing lines.
     if (record.size() == 1 && record[0].empty()) continue;
     QUERYER_RETURN_NOT_OK(builder.AddRow(record));
@@ -112,9 +119,19 @@ Result<TablePtr> ReadCsvFile(const std::string& path, std::string table_name,
                              const CsvOptions& options) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ReadCsvString(buffer.str(), std::move(table_name), options);
+  // The file is read into one buffer of its exact size. file_size also
+  // rejects a directory, which ifstream opens without complaint.
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) {
+    return Status::IoError("cannot read file: " + path + ": " +
+                           error.message());
+  }
+  std::string text(size, '\0');
+  if (!in.read(text.data(), static_cast<std::streamsize>(size))) {
+    return Status::IoError("read failed: " + path);
+  }
+  return ReadCsvString(text, std::move(table_name), options);
 }
 
 std::string WriteCsvString(const Table& table, const CsvOptions& options) {

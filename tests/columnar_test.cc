@@ -351,8 +351,8 @@ std::vector<std::vector<std::string>> RunSql(
 class ColumnarSweepTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // > 2 morsels (kMinMorselRows = 1024), so 4-thread runs really schedule
-    // parallel morsels.
+    // Several default-size batches per table, so every operator crosses
+    // batch boundaries.
     dsd_ = new datagen::GeneratedDataset(datagen::MakeDsdLike(2600, 4242));
     auto universe = datagen::MakeVenueUniverse(200, 7);
     oagp_ = new datagen::GeneratedDataset(

@@ -4,9 +4,9 @@
 // matrix here drives an explicit client-side Next loop), and the session
 // lifecycle must hold: an abandoned or cancelled cursor releases its
 // admission slot and leaves no ResolutionCoordinator claim behind, so a
-// second client's query completes; Cancel() during a morsel-parallel
-// scan/probe is TSan-clean; a destructor-without-drain leaks nothing under
-// ASan.
+// second client's query completes; a cross-thread Cancel() during a
+// scan/probe drain is TSan-clean; a destructor-without-drain leaks nothing
+// under ASan.
 
 #include <gtest/gtest.h>
 
@@ -62,9 +62,8 @@ Rows DrainCursor(QueryCursor* cursor) {
 class CursorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // > 2 morsels (kMinMorselRows = 1024) so multi-thread engines really
-    // run parallel morsel scans; the OAGP/OAGV pair gives the join's probe
-    // side several probe morsels.
+    // Tables of several default-size batches; the OAGP/OAGV pair gives the
+    // join's probe side several probe batches.
     dsd_ = new datagen::GeneratedDataset(datagen::MakeDsdLike(2600, 4242));
     auto universe = datagen::MakeVenueUniverse(300, 7);
     datagen::OagpOptions oagp_options;
@@ -94,7 +93,7 @@ datagen::GeneratedDataset* CursorTest::oagv_ = nullptr;
 
 // Cursor answers == Execute answers, bit for bit, across the whole
 // num_threads x batch_size matrix, for every pipeline shape (scan+filter,
-// parallel-probe join, full DEDUP).
+// hash join, full DEDUP).
 TEST_F(CursorTest, CursorMatchesExecuteAcrossThreadsAndBatchSizes) {
   struct Case {
     std::vector<TablePtr> tables;
@@ -251,7 +250,7 @@ TEST_F(CursorTest, EarlyCloseReleasesAdmissionSlot) {
 
 // Destruction without Close (and without draining) also releases the slot
 // — and, under ASan, proves the abandoned session state (operator tree,
-// in-flight morsels, ER state) leaks nothing.
+// join build table, ER state) leaks nothing.
 TEST_F(CursorTest, AbandonedCursorDestructorReleasesEverything) {
   for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
     auto engine = MakeEngine({oagp_->table, oagv_->table}, /*batch_size=*/64,
@@ -263,7 +262,7 @@ TEST_F(CursorTest, AbandonedCursorDestructorReleasesEverything) {
       RowBatch batch((*cursor)->batch_size());
       auto has = (*cursor)->Next(&batch);
       ASSERT_TRUE(has.ok());
-      // Drop the cursor mid-stream with probe morsels in flight.
+      // Drop the cursor mid-stream with the probe half done.
     }
     auto after = engine->Execute("SELECT id FROM oagp WHERE MOD(id, 100) < 5");
     ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -323,11 +322,11 @@ TEST_F(CursorTest, CancelSurfacesCancelledStatus) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
 }
 
-// Cancel() from another thread while the consumer drains a morsel-parallel
-// scan and a parallel join probe: the race between the cancel flag, the
-// window-queued pool tasks and the consumer is exactly what TSan checks
+// Cancel() from another thread while the consumer drains a scan and a join
+// probe on a 4-thread engine: the race between the canceller's store and
+// the consumer's batch-boundary reads of the flag is what TSan checks
 // here. The drain ends either cancelled or complete — nothing else.
-TEST_F(CursorTest, CancelDuringParallelScanAndProbeIsClean) {
+TEST_F(CursorTest, CancelDuringScanAndProbeIsClean) {
   const std::string queries[] = {
       "SELECT * FROM oagp",
       "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title",

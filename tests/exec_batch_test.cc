@@ -3,7 +3,7 @@
 // — query answers (and LinkIndex::num_links()) must be identical at every
 // batch size (batch_size == 1 degenerates to row-at-a-time execution, so
 // the sweep pins the batch path to the row path) and at every thread count
-// of the morsel-parallel scan.
+// of the comparison execution.
 
 #include <gtest/gtest.h>
 
@@ -144,14 +144,14 @@ constexpr std::size_t kBatchSizes[] = {1, 7, 1024};
 class ExecBatchSweepTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // > 2 morsels (kMinMorselRows = 1024), so 4-thread runs really schedule
-    // parallel morsels. Generated once; tables are immutable and shared.
+    // Several default-size batches per table, so every operator crosses
+    // batch boundaries. Generated once; tables are immutable and shared.
     dsd_ = new datagen::GeneratedDataset(datagen::MakeDsdLike(2600, 4242));
     pubs_ = new datagen::GeneratedDataset(
         datagen::MakeMotivatingPublications());
     venues_ = new datagen::GeneratedDataset(datagen::MakeMotivatingVenues());
     // An OAGP/OAGV pair big enough that the join's probe side (left = the
-    // papers) spans several probe morsels.
+    // papers) spans several default-size batches.
     auto universe = datagen::MakeVenueUniverse(300, 7);
     datagen::OagpOptions oagp_options;
     oagp_options.venue_join_fraction = 0.5;  // A joinier-than-paper mix.
@@ -232,9 +232,9 @@ TEST_F(ExecBatchSweepTest, DedupIdenticalAcrossBatchSizes) {
   }
 }
 
-// Morsel-driven parallel scans: the num_threads x batch_size matrix returns
-// the sequential answer bit for bit (morsels are emitted in table order).
-TEST_F(ExecBatchSweepTest, MorselScanDeterminismMatrix) {
+// Scans: the num_threads x batch_size matrix returns the single-thread
+// answer bit for bit.
+TEST_F(ExecBatchSweepTest, ScanDeterminismMatrix) {
   const std::vector<std::string> queries = {
       "SELECT * FROM dsd WHERE MOD(id, 100) < 23",
       "SELECT id, title FROM dsd WHERE year >= 2000",
@@ -252,21 +252,18 @@ TEST_F(ExecBatchSweepTest, MorselScanDeterminismMatrix) {
   }
 }
 
-// The parallel hash-join probe: probe morsels are dispatched to the pool
-// and emitted through the reorder window in probe order, so the join's
-// answer is bit-identical to the sequential probe across the whole
-// num_threads x batch_size matrix.
-TEST_F(ExecBatchSweepTest, ParallelJoinProbeDeterminismMatrix) {
+// The hash join: its answer is bit-identical to the single-thread run
+// across the whole num_threads x batch_size matrix.
+TEST_F(ExecBatchSweepTest, JoinDeterminismMatrix) {
   const std::vector<std::string> queries = {
       "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title",
-      // A fused-filtered (morsel-parallel) scan feeding the probe side.
+      // A fused-filtered scan feeding the probe side.
       "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title "
       "WHERE MOD(oagp.id, 100) < 50",
   };
   for (const std::string& sql : queries) {
     RunOutcome reference = RunSql({oagp_->table, oagv_->table}, sql, 1024, 1);
     EXPECT_FALSE(reference.rows.empty());
-    EXPECT_EQ(reference.stats.probe_morsels, 0u);
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t batch_size : kBatchSizes) {
         RunOutcome outcome =
@@ -278,24 +275,14 @@ TEST_F(ExecBatchSweepTest, ParallelJoinProbeDeterminismMatrix) {
   }
 }
 
-// The parallel probe must actually engage with a multi-worker pool: the
-// 3000-row probe side spans 3 morsels at the kMinMorselRows granularity.
-TEST_F(ExecBatchSweepTest, ParallelJoinProbeConsumesMorsels) {
-  const std::string sql =
-      "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title";
-  RunOutcome outcome = RunSql({oagp_->table, oagv_->table}, sql, 1024, 4);
-  EXPECT_EQ(outcome.stats.probe_morsels, 3u);
-}
-
-// Parallel Group-Entities aggregation: per-chunk partial group tables
-// merged in chunk order reproduce the sequential grouping bit for bit, for
-// answers AND link counts, across the num_threads x batch_size matrix.
-TEST_F(ExecBatchSweepTest, ParallelGroupEntitiesDeterminismMatrix) {
+// Group-Entities over a parallel resolution: the grouping is bit-identical
+// to the single-thread run, for answers AND link counts, across the
+// num_threads x batch_size matrix.
+TEST_F(ExecBatchSweepTest, GroupEntitiesDeterminismMatrix) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 50";
   RunOutcome reference = RunSql({dsd_->table}, sql, 1024, 1, "dsd");
   EXPECT_FALSE(reference.rows.empty());
-  EXPECT_EQ(reference.stats.partial_groups_merged, 0u);
   for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
     for (std::size_t batch_size : kBatchSizes) {
       RunOutcome outcome =
@@ -304,20 +291,14 @@ TEST_F(ExecBatchSweepTest, ParallelGroupEntitiesDeterminismMatrix) {
           << "threads=" << num_threads << " batch=" << batch_size;
       EXPECT_EQ(outcome.num_links, reference.num_links)
           << "threads=" << num_threads << " batch=" << batch_size;
-      if (num_threads > 1) {
-        // > kMinMorselRows input rows reach Group-Entities, so the
-        // parallel aggregation really ran and merged at least one partial
-        // table per chunk.
-        EXPECT_GT(outcome.stats.partial_groups_merged, 0u);
-      }
     }
   }
 }
 
-// DEDUP through a parallel morsel scan: answers and link counts match the
-// sequential run (the scan feeds the Deduplicate operator, so this pins the
-// whole ER pipeline on top of the parallel source).
-TEST_F(ExecBatchSweepTest, MorselScanDedupDeterminism) {
+// DEDUP over a filtered scan: answers and link counts match the
+// single-thread run (the scan feeds the Deduplicate operator, so this pins
+// the whole ER pipeline on top of the source).
+TEST_F(ExecBatchSweepTest, ScanDedupDeterminism) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10";
   RunOutcome reference = RunSql({dsd_->table}, sql, 1024, 1, "dsd");

@@ -378,46 +378,6 @@ TEST_F(FaultInjectionTest, ClaimFailureReleasesEntityClaims) {
   EXPECT_EQ(retry->rows, *reference_rows_);
 }
 
-// Morsel failures on the parallel scan and join probe paths: the injected
-// exception rides the ReorderWindow failure path, first-error-wins reaches
-// the consumer, and the session's slot frees for the next query.
-TEST_F(FaultInjectionTest, MorselFailuresSurfaceFirstErrorAndFreeTheSlot) {
-  struct Case {
-    const char* site;
-    const char* sql;
-  };
-  const Case cases[] = {
-      {"scan.morsel", "SELECT * FROM oagp"},
-      {"join.probe_morsel",
-       "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title"},
-  };
-  for (const Case& c : cases) {
-    auto engine = MakeEngine({oagp_->table, oagv_->table}, /*batch_size=*/32,
-                             /*num_threads=*/4);
-    {
-      ScopedFailpoint armed(c.site, "throw");
-      auto cursor = engine->ExecuteStream(c.sql);
-      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-      RowBatch batch((*cursor)->batch_size());
-      Status final_status;
-      while (true) {
-        auto has = (*cursor)->Next(&batch);
-        if (!has.ok()) {
-          final_status = has.status();
-          break;
-        }
-        ASSERT_TRUE(*has) << c.site
-                          << ": stream ended despite every morsel failing";
-      }
-      EXPECT_NE(final_status.message().find(c.site), std::string::npos)
-          << final_status.ToString();
-      (*cursor)->Close();
-    }
-    auto after = engine->Execute("SELECT id FROM oagp WHERE MOD(id, 100) < 5");
-    ASSERT_TRUE(after.ok()) << after.status().ToString();
-  }
-}
-
 // engine.admission fires after the slot is acquired: the injected failure
 // must ride the RAII release, or this 1-wide engine would wedge.
 TEST_F(FaultInjectionTest, AdmissionFailureReleasesTheSlot) {
@@ -516,9 +476,6 @@ void RunChaosRound(unsigned seed, datagen::GeneratedDataset* dsd,
   ASSERT_TRUE(fps.Arm("li.publish", "throw(p=0.04,seed=" + s + "2)").ok());
   ASSERT_TRUE(fps.Arm("coordinator.claim_comparisons",
                       "throw(p=0.04,seed=" + s + "3)").ok());
-  ASSERT_TRUE(fps.Arm("scan.morsel", "throw(p=0.02,seed=" + s + "4)").ok());
-  ASSERT_TRUE(
-      fps.Arm("join.probe_morsel", "throw(p=0.02,seed=" + s + "5)").ok());
   ASSERT_TRUE(fps.Arm("cursor.next", "error(p=0.02,seed=" + s + "6)").ok());
   ASSERT_TRUE(fps.Arm("cursor.open", "error(p=0.02,seed=" + s + "7)").ok());
   ASSERT_TRUE(

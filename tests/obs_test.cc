@@ -166,8 +166,8 @@ std::size_t RootRows(const std::string& annotated_plan) {
 class ObsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // > 2 morsels (kMinMorselRows = 1024) so multi-thread engines really
-    // run parallel morsel scans and emit per-morsel trace instants.
+    // Several default-size batches per table, so traces and profiles span
+    // many operator calls.
     dsd_ = new datagen::GeneratedDataset(datagen::MakeDsdLike(2600, 4242));
     auto universe = datagen::MakeVenueUniverse(300, 7);
     datagen::OagpOptions oagp_options;
@@ -288,21 +288,6 @@ TEST_F(ObsTest, TraceJsonIsWellFormedAndHasSessionSpans) {
                            "Deduplicate", "TableScan"}) {
     EXPECT_NE(json.find(span), std::string::npos) << "missing span " << span;
   }
-}
-
-// Parallel morsel scans emit per-morsel instant events tagged with the
-// worker thread that materialized them.
-TEST_F(ObsTest, ParallelScanEmitsMorselInstants) {
-  auto trace = std::make_shared<TraceSink>();
-  auto engine = MakeEngine({dsd_->table}, 0, 4, trace);
-  auto result = engine->Execute("SELECT id, title FROM dsd");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const std::string json = trace->ToJson();
-  JsonValidator validator(json);
-  EXPECT_TRUE(validator.Valid());
-  // 2600 rows / 1024-row morsels = 3 scan morsels.
-  EXPECT_NE(json.find("\"scan-morsel\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
 
 // EXPLAIN ANALYZE executes the query: its root-operator row count must be

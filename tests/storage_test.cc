@@ -119,6 +119,16 @@ TEST(CsvTest, FileRoundTrip) {
   EXPECT_FALSE(ReadCsvFile(path, "t").ok());  // Now missing.
 }
 
+// A directory opens as an ifstream on Linux but cannot be read: that is an
+// I/O failure, not an empty CSV.
+TEST(CsvTest, DirectoryPathIsIoError) {
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  auto result = ReadCsvFile(dir, "t");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError)
+      << result.status().ToString();
+}
+
 TEST(CatalogTest, RegisterAndLookup) {
   Catalog catalog;
   TablePtr table = TableBuilder("Pubs", Schema({"id"})).Build();
