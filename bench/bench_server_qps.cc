@@ -3,18 +3,19 @@
 //
 // Each client loops until the deadline: OPEN a selective scan, page it to
 // the end with NEXT, and every 8th operation issue a one-shot EXECUTE of
-// the same hot DEDUP statement (the first miss fills the result cache;
-// every later EXECUTE is an epoch-checked cache hit with zero engine
-// work). Per-operation wall latency is recorded client-side; the report is
-// sustained QPS plus p50/p95/p99, and the run FAILS (exit 1) if any client
-// saw a protocol error — shedding, dropped frames or malformed responses
-// all count.
+// the same hot DEDUP statement. Every EXECUTE is a full engine session;
+// once the first ones have resolved its entities, the Link Index answers
+// the rest with 0 comparisons. Per-operation wall latency is recorded
+// client-side; the report is sustained QPS plus p50/p95/p99, and the run
+// FAILS (exit 1) if any client saw a protocol error — shedding, dropped
+// frames or malformed responses all count.
 //
 //   bench_server_qps [--clients=N] [--duration=S] [--threads=N]
 //
 // Defaults: 200 clients, 10 seconds. The engine is configured with one
-// admission slot per client (this bench measures the wire + cache layers,
-// not admission shedding — bench_concurrent_queries covers contention).
+// admission slot per client (this bench measures the wire layer and
+// concurrent engine sessions, not admission shedding —
+// bench_concurrent_queries covers contention).
 //
 // Output: human table + "CSV,server_qps,..." + JSON lines (BENCH_exec.json).
 
@@ -40,7 +41,6 @@ struct WorkerStats {
   std::uint64_t queries = 0;
   std::uint64_t pages = 0;
   std::uint64_t rows = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t protocol_errors = 0;
   std::vector<double> latencies;
 };
@@ -73,7 +73,6 @@ void Worker(int id, std::uint16_t port, const std::atomic<bool>& stop,
         out->protocol_errors++;
         break;
       }
-      if (result->cached) out->cache_hits++;
       out->rows += result->rows.size();
     } else {
       auto open = client.Open(kScanSql);
@@ -135,7 +134,7 @@ int main(int argc, char** argv) {
   engine_options.num_threads = Threads();
   if (BatchSize() != 0) engine_options.batch_size = BatchSize();
   // One admission slot per client: every paginating cursor can be in
-  // flight at once, so the wire/cache layers are what is measured.
+  // flight at once, so the wire layer and the sessions are what is measured.
   engine_options.max_concurrent_queries = clients;
   engine_options.admission_timeout = 60;
   queryer::QueryEngine engine(engine_options);
@@ -175,13 +174,12 @@ int main(int argc, char** argv) {
   const double elapsed = wall.ElapsedSeconds();
   server.Stop();
 
-  std::uint64_t queries = 0, pages = 0, rows = 0, cache_hits = 0, errors = 0;
+  std::uint64_t queries = 0, pages = 0, rows = 0, errors = 0;
   std::vector<double> latencies;
   for (const WorkerStats& ws : stats) {
     queries += ws.queries;
     pages += ws.pages;
     rows += ws.rows;
-    cache_hits += ws.cache_hits;
     errors += ws.protocol_errors;
     latencies.insert(latencies.end(), ws.latencies.begin(),
                      ws.latencies.end());
@@ -193,16 +191,14 @@ int main(int argc, char** argv) {
   const double p95 = PercentileMs(latencies, 0.95);
   const double p99 = PercentileMs(latencies, 0.99);
 
-  std::printf("%-8s %10s %10s %10s %10s %10s %10s %8s\n", "clients",
-              "queries", "qps", "p50(ms)", "p95(ms)", "p99(ms)",
-              "cache_hit", "errors");
-  std::printf("%-8zu %10llu %10s %10s %10s %10s %10llu %8llu\n", clients,
+  std::printf("%-8s %10s %10s %10s %10s %10s %8s\n", "clients", "queries",
+              "qps", "p50(ms)", "p95(ms)", "p99(ms)", "errors");
+  std::printf("%-8zu %10llu %10s %10s %10s %10s %8llu\n", clients,
               static_cast<unsigned long long>(queries),
               queryer::FormatDouble(qps, 1).c_str(),
               queryer::FormatDouble(p50, 2).c_str(),
               queryer::FormatDouble(p95, 2).c_str(),
               queryer::FormatDouble(p99, 2).c_str(),
-              static_cast<unsigned long long>(cache_hits),
               static_cast<unsigned long long>(errors));
   std::printf("(%llu pages, %llu rows over the wire in %s s)\n",
               static_cast<unsigned long long>(pages),
@@ -213,8 +209,7 @@ int main(int argc, char** argv) {
           {std::to_string(clients), queryer::FormatDouble(elapsed, 3),
            std::to_string(queries), queryer::FormatDouble(qps, 2),
            queryer::FormatDouble(p50, 3), queryer::FormatDouble(p95, 3),
-           queryer::FormatDouble(p99, 3), std::to_string(cache_hits),
-           std::to_string(errors)});
+           queryer::FormatDouble(p99, 3), std::to_string(errors)});
   JsonLine("server_qps",
            {{"clients", std::to_string(clients)},
             {"duration_seconds", queryer::FormatDouble(elapsed, 3)},
@@ -225,7 +220,6 @@ int main(int argc, char** argv) {
             {"p99_ms", queryer::FormatDouble(p99, 3)},
             {"pages", std::to_string(pages)},
             {"rows", std::to_string(rows)},
-            {"result_cache_hits", std::to_string(cache_hits)},
             {"protocol_errors", std::to_string(errors)}});
 
   if (errors != 0) {

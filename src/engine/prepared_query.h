@@ -58,14 +58,6 @@ class PreparedQuery {
   /// True for EXPLAIN ANALYZE: execute, then present the annotated plan.
   bool analyze() const { return statement_.analyze; }
 
-  /// The ER runtimes of the tables a DEDUP statement touches, resolved and
-  /// pinned at Prepare (empty for non-DEDUP statements — their answers do
-  /// not depend on Link Index state). The server's result cache reads the
-  /// Link Index epoch of each to fingerprint an answer's validity.
-  const std::vector<std::shared_ptr<TableRuntime>>& involved_runtimes() const {
-    return involved_;
-  }
-
   /// Opens one streaming session over the prepared plan: acquires an
   /// admission slot (blocking while the engine is at
   /// max_concurrent_queries), runs the mode's per-query ER prologue

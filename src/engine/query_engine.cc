@@ -82,9 +82,6 @@ Status QueryEngine::RegisterTable(TablePtr table) {
   }
   QUERYER_RETURN_NOT_OK(catalog_.Register(table));
   runtimes_[ToLower(table->name())] = std::move(runtime);
-  // After the registration is fully visible: a plan cached under the new
-  // version can rely on the runtime being in place.
-  catalog_version_->fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 

@@ -29,7 +29,6 @@
 #ifndef QUERYER_ENGINE_QUERY_ENGINE_H_
 #define QUERYER_ENGINE_QUERY_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -146,15 +145,6 @@ class QueryEngine {
   /// query server reads its tenant quota and admission settings here.
   const EngineOptions& options() const { return options_; }
 
-  /// Monotonic registration counter: bumped by every successful
-  /// RegisterTable / RegisterCsvFile / RegisterTableFromSnapshots. The
-  /// server's prepared-plan and result caches key on it, so a plan or
-  /// answer cached against an older catalog can never be served after a
-  /// registration changes what a name resolves to.
-  std::uint64_t catalog_version() const {
-    return catalog_version_->load(std::memory_order_acquire);
-  }
-
   /// Effective worker count (1 when running sequentially).
   std::size_t num_threads() const {
     return pool_ == nullptr ? 1 : pool_->num_threads();
@@ -238,10 +228,6 @@ class QueryEngine {
   // runtimes, which hold them type-erased), so SaveSnapshot can compact
   // explicitly. Keyed like runtimes_.
   std::map<std::string, std::shared_ptr<DurableLinkIndex>> durable_links_;
-  // See catalog_version(). Behind a unique_ptr like the primitives above:
-  // atomics are immovable and the engine must stay movable.
-  std::unique_ptr<std::atomic<std::uint64_t>> catalog_version_ =
-      std::make_unique<std::atomic<std::uint64_t>>(0);
 };
 
 }  // namespace queryer

@@ -312,15 +312,6 @@ const ServerMetrics& GlobalServerMetrics() {
     m->protocol_errors =
         reg.GetCounter("queryer_server_protocol_errors_total");
     m->requests_shed = reg.GetCounter("queryer_server_requests_shed_total");
-    m->plan_cache_hits = reg.GetCounter("queryer_plan_cache_hits_total");
-    m->plan_cache_misses = reg.GetCounter("queryer_plan_cache_misses_total");
-    m->result_cache_hits = reg.GetCounter("queryer_result_cache_hits_total");
-    m->result_cache_misses =
-        reg.GetCounter("queryer_result_cache_misses_total");
-    m->result_cache_invalidated =
-        reg.GetCounter("queryer_result_cache_invalidated_total");
-    m->result_cache_insertions =
-        reg.GetCounter("queryer_result_cache_insertions_total");
     m->request_latency =
         reg.GetHistogram("queryer_server_request_seconds");
     return m;

@@ -198,15 +198,6 @@ struct ServerMetrics {
                            // counters are registered dynamically as
                            // queryer_server_tenant_shed_total_<tenant>).
 
-  // Caches.
-  Counter* plan_cache_hits;
-  Counter* plan_cache_misses;
-  Counter* result_cache_hits;
-  Counter* result_cache_misses;
-  Counter* result_cache_invalidated;  // Hits rejected by a moved epoch /
-                                      // catalog version (entry dropped).
-  Counter* result_cache_insertions;
-
   // Request handling, HELLO to response written (one observation per
   // request frame, protocol errors included).
   LatencyHistogram* request_latency;

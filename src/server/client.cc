@@ -260,8 +260,6 @@ Result<Client::ExecuteInfo> Client::Execute(const std::string& sql) {
       info.rows.push_back(std::move(cells));
     }
   }
-  const JsonValue* cached = response.Find("cached");
-  info.cached = cached != nullptr && cached->bool_value();
   const JsonValue* stats = response.Find("stats");
   if (stats != nullptr) {
     const JsonValue* comparisons = stats->Find("comparisons_executed");

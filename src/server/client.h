@@ -77,9 +77,8 @@ class Client {
   struct ExecuteInfo {
     std::vector<std::string> columns;
     std::vector<std::vector<std::string>> rows;
-    bool cached = false;
-    /// comparisons_executed from the response stats (0 for cached answers,
-    /// which carry no stats — nothing executed).
+    /// comparisons_executed from the response stats (0 when the Link Index
+    /// already held every involved entity's links).
     std::uint64_t comparisons_executed = 0;
   };
   /// EXECUTE: one-shot materialized answer.

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -17,7 +18,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "engine/query_engine.h"
-#include "matching/link_index.h"
 #include "obs/metrics.h"
 
 namespace queryer {
@@ -45,29 +45,31 @@ JsonValue OkFrame(const JsonValue* id) {
   return frame;
 }
 
-/// Reads an optional non-negative integer field; false on wrong type.
+/// Reads an optional non-negative integer field; false on a wrong type or a
+/// value no uint64_t holds exactly (non-finite, fractional, >= 2^64).
 bool ReadCount(const JsonValue& req, const char* key, bool* present,
                std::uint64_t* out) {
   const JsonValue* v = req.Find(key);
   *present = v != nullptr;
   if (v == nullptr) return true;
-  if (!v->is_number() || v->number_value() < 0) return false;
-  *out = static_cast<std::uint64_t>(v->number_value());
+  if (!v->is_number()) return false;
+  const double d = v->number_value();
+  // 2^64 as a double; the negated comparisons also reject NaN.
+  if (!(d >= 0 && d < 18446744073709551616.0) || d != std::floor(d)) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(d);
   return true;
 }
 
-/// The validity stamp of `plan`'s answer right now: the engine's catalog
-/// version plus the Link Index epoch of every involved runtime. See
-/// result_cache.h for why this is captured after execution on insert.
-ResultFingerprint FingerprintFor(const QueryEngine& engine,
-                                 const PreparedQuery& plan) {
-  ResultFingerprint fp;
-  fp.catalog_version = engine.catalog_version();
-  fp.epochs.reserve(plan.involved_runtimes().size());
-  for (const auto& runtime : plan.involved_runtimes()) {
-    fp.epochs.push_back(runtime->link_index().epoch());
-  }
-  return fp;
+/// Prepares `sql` on the engine as a handle shared by the statement table
+/// and the cursors opened from it.
+Result<std::shared_ptr<const PreparedQuery>> PrepareShared(
+    QueryEngine& engine, const std::string& sql) {
+  auto prepared = engine.Prepare(sql);
+  if (!prepared.ok()) return prepared.status();
+  return std::make_shared<const PreparedQuery>(
+      std::move(prepared).MoveValueUnsafe());
 }
 
 JsonValue RowsToJson(const std::vector<std::vector<std::string>>& rows) {
@@ -120,8 +122,8 @@ struct QueryServer::Connection {
 
   struct WireCursor {
     CursorPtr cursor;
-    /// Keeps the shared plan alive while the cursor streams over it (the
-    /// plan cache may evict the entry meanwhile).
+    /// Keeps the plan alive while the cursor streams over it (an inline-SQL
+    /// OPEN's plan has no other owner).
     std::shared_ptr<const PreparedQuery> plan;
     bool quota_charged = false;
   };
@@ -139,9 +141,6 @@ struct QueryServer::Connection {
 QueryServer::QueryServer(QueryEngine* engine, ServerOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      plan_cache_(options_.plan_cache_capacity),
-      result_cache_(options_.result_cache_bytes,
-                    options_.result_cache_entry_bytes),
       quotas_(engine->options().max_concurrent_per_tenant) {}
 
 QueryServer::~QueryServer() { Stop(); }
@@ -532,32 +531,31 @@ JsonValue QueryServer::HandlePrepare(Connection* conn, const JsonValue& req) {
     return ErrorFrame(
         Status::InvalidArgument("PREPARE needs a string \"sql\""), id);
   }
-  auto lookup = plan_cache_.GetOrPrepare(*engine_, sql->string_value());
-  if (!lookup.ok()) return ErrorFrame(lookup.status(), id);
+  auto plan = PrepareShared(*engine_, sql->string_value());
+  if (!plan.ok()) return ErrorFrame(plan.status(), id);
 
   std::uint64_t stmt_id = conn->next_statement_id++;
-  conn->statements[stmt_id] = lookup->plan;
+  conn->statements[stmt_id] = *plan;
 
   JsonValue frame = OkFrame(id);
   frame.Set("stmt", JsonValue::Uint(stmt_id));
-  frame.Set("dedup", JsonValue::Bool(lookup->plan->dedup()));
-  frame.Set("cached", JsonValue::Bool(lookup->hit));
-  frame.Set("plan", JsonValue::Str(lookup->plan->plan_text()));
+  frame.Set("dedup", JsonValue::Bool((*plan)->dedup()));
+  frame.Set("plan", JsonValue::Str((*plan)->plan_text()));
   return frame;
 }
 
 JsonValue QueryServer::HandleOpen(Connection* conn, const JsonValue& req) {
   const JsonValue* id = req.Find("id");
 
-  // OPEN takes either a prepared handle ("stmt") or inline SQL (which goes
-  // through the shared plan cache like PREPARE would).
+  // OPEN takes either a prepared handle ("stmt") or inline SQL (prepared
+  // here like PREPARE would).
   std::shared_ptr<const PreparedQuery> plan;
   bool has_stmt = false;
   std::uint64_t stmt_id = 0;
   if (!ReadCount(req, "stmt", &has_stmt, &stmt_id)) {
     GlobalServerMetrics().protocol_errors->Increment();
     return ErrorFrame(
-        Status::InvalidArgument("\"stmt\" must be a non-negative number"),
+        Status::InvalidArgument("\"stmt\" must be a non-negative integer"),
         id);
   }
   if (has_stmt) {
@@ -577,9 +575,9 @@ JsonValue QueryServer::HandleOpen(Connection* conn, const JsonValue& req) {
           Status::InvalidArgument("OPEN needs \"stmt\" or a string \"sql\""),
           id);
     }
-    auto lookup = plan_cache_.GetOrPrepare(*engine_, sql->string_value());
-    if (!lookup.ok()) return ErrorFrame(lookup.status(), id);
-    plan = lookup->plan;
+    auto prepared = PrepareShared(*engine_, sql->string_value());
+    if (!prepared.ok()) return ErrorFrame(prepared.status(), id);
+    plan = std::move(prepared).MoveValueUnsafe();
   }
 
   // Tenant quota first, engine admission second: an over-quota tenant is
@@ -618,7 +616,7 @@ JsonValue QueryServer::HandleNext(Connection* conn, const JsonValue& req) {
   if (!ReadCount(req, "cursor", &has_cursor, &cursor_id) || !has_cursor) {
     GlobalServerMetrics().protocol_errors->Increment();
     return ErrorFrame(
-        Status::InvalidArgument("NEXT needs a numeric \"cursor\""), id);
+        Status::InvalidArgument("NEXT needs an integer \"cursor\""), id);
   }
   auto it = conn->cursors.find(cursor_id);
   if (it == conn->cursors.end()) {
@@ -632,7 +630,7 @@ JsonValue QueryServer::HandleNext(Connection* conn, const JsonValue& req) {
   if (!ReadCount(req, "n", &has_n, &n) || n == 0) {
     GlobalServerMetrics().protocol_errors->Increment();
     return ErrorFrame(
-        Status::InvalidArgument("\"n\" must be a positive number"), id);
+        Status::InvalidArgument("\"n\" must be a positive integer"), id);
   }
   if (n > options_.max_fetch_rows) n = options_.max_fetch_rows;
 
@@ -669,7 +667,7 @@ JsonValue QueryServer::HandleCancel(Connection* conn, const JsonValue& req) {
   if (!ReadCount(req, "cursor", &has_cursor, &cursor_id) || !has_cursor) {
     GlobalServerMetrics().protocol_errors->Increment();
     return ErrorFrame(
-        Status::InvalidArgument("CANCEL needs a numeric \"cursor\""), id);
+        Status::InvalidArgument("CANCEL needs an integer \"cursor\""), id);
   }
   auto it = conn->cursors.find(cursor_id);
   if (it == conn->cursors.end()) {
@@ -691,7 +689,7 @@ JsonValue QueryServer::HandleClose(Connection* conn, const JsonValue& req) {
   if (!ReadCount(req, "cursor", &has_cursor, &cursor_id) || !has_cursor) {
     GlobalServerMetrics().protocol_errors->Increment();
     return ErrorFrame(
-        Status::InvalidArgument("CLOSE needs a numeric \"cursor\""), id);
+        Status::InvalidArgument("CLOSE needs an integer \"cursor\""), id);
   }
   auto it = conn->cursors.find(cursor_id);
   if (it == conn->cursors.end()) {
@@ -713,23 +711,8 @@ JsonValue QueryServer::HandleExecute(Connection* conn, const JsonValue& req) {
     return ErrorFrame(
         Status::InvalidArgument("EXECUTE needs a string \"sql\""), id);
   }
-  const std::string& sql = sql_value->string_value();
-
-  auto lookup = plan_cache_.GetOrPrepare(*engine_, sql);
-  if (!lookup.ok()) return ErrorFrame(lookup.status(), id);
-  const std::shared_ptr<const PreparedQuery>& plan = lookup->plan;
-
-  // Result cache: valid only while the CURRENT fingerprint still equals
-  // the one the answer was computed under. A hit costs no engine session
-  // (and so no quota charge): zero comparisons, zero admission.
-  if (auto cached = result_cache_.Get(sql, FingerprintFor(*engine_, *plan))) {
-    JsonValue frame = OkFrame(id);
-    frame.Set("columns", ColumnsToJson(cached->columns));
-    frame.Set("rows", RowsToJson(cached->rows));
-    frame.Set("row_count", JsonValue::Uint(cached->rows.size()));
-    frame.Set("cached", JsonValue::Bool(true));
-    return frame;
-  }
+  auto prepared = engine_->Prepare(sql_value->string_value());
+  if (!prepared.ok()) return ErrorFrame(prepared.status(), id);
 
   if (!quotas_.TryAcquire(conn->tenant)) {
     return ErrorFrame(
@@ -739,15 +722,15 @@ JsonValue QueryServer::HandleExecute(Connection* conn, const JsonValue& req) {
         id);
   }
 
-  auto opened = plan->Open();
+  auto opened = prepared->Open();
   if (!opened.ok()) {
     quotas_.Release(conn->tenant);
     return ErrorFrame(opened.status(), id);
   }
   CursorPtr cursor = std::move(opened).MoveValueUnsafe();
 
-  auto result = std::make_shared<CachedResult>();
-  result->columns = cursor->columns();
+  const std::vector<std::string> columns = cursor->columns();
+  std::vector<std::vector<std::string>> rows;
   Status drain_error;
   for (;;) {
     auto page = cursor->Fetch(options_.max_fetch_rows);
@@ -756,8 +739,8 @@ JsonValue QueryServer::HandleExecute(Connection* conn, const JsonValue& req) {
       break;
     }
     bool done = page->size() < options_.max_fetch_rows;
-    for (auto& row : *page) result->rows.push_back(std::move(row));
-    if (result->rows.size() > options_.max_execute_rows) {
+    for (auto& row : *page) rows.push_back(std::move(row));
+    if (rows.size() > options_.max_execute_rows) {
       drain_error = Status::OutOfRange(
           "answer exceeds max_execute_rows (" +
           std::to_string(options_.max_execute_rows) +
@@ -771,15 +754,10 @@ JsonValue QueryServer::HandleExecute(Connection* conn, const JsonValue& req) {
   quotas_.Release(conn->tenant);
   if (!drain_error.ok()) return ErrorFrame(drain_error, id);
 
-  // Fingerprint AFTER execution: this run may itself have published links
-  // and advanced the involved epochs (see result_cache.h).
-  result_cache_.Put(sql, FingerprintFor(*engine_, *plan), result);
-
   JsonValue frame = OkFrame(id);
-  frame.Set("columns", ColumnsToJson(result->columns));
-  frame.Set("rows", RowsToJson(result->rows));
-  frame.Set("row_count", JsonValue::Uint(result->rows.size()));
-  frame.Set("cached", JsonValue::Bool(false));
+  frame.Set("columns", ColumnsToJson(columns));
+  frame.Set("rows", RowsToJson(rows));
+  frame.Set("row_count", JsonValue::Uint(rows.size()));
   frame.Set("stats", StatsToJson(stats));
   return frame;
 }

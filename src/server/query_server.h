@@ -6,13 +6,18 @@
 // engine's streaming API:
 //
 //   HELLO    {tenant}        authenticate the connection (first frame)
-//   PREPARE  {sql}           -> stmt handle (shared plan cache behind it)
+//   PREPARE  {sql}           -> stmt handle (QueryEngine::Prepare)
 //   OPEN     {stmt | sql}    -> cursor handle  (PreparedQuery::Open)
 //   NEXT     {cursor, n}     -> up to n rows + done (QueryCursor::Fetch)
 //   CANCEL   {cursor}        QueryCursor::Cancel (cursor stays until CLOSE)
 //   CLOSE    {cursor}        QueryCursor::Close + handle release
-//   EXECUTE  {sql}           one-shot materialized answer (result cache)
+//   EXECUTE  {sql}           one-shot materialized answer + stats
 //   METRICS  {}              global metrics registry as JSON
+//
+// The server keeps no plan or answer cache: PREPARE, inline-SQL OPEN and
+// EXECUTE plan with QueryEngine::Prepare, and every OPEN and EXECUTE runs
+// an engine session. Reuse lives in the engine — a repeated DEDUP finds
+// its entities resolved in the Link Index and runs 0 comparisons.
 //
 // Failures are data, not disconnects: every protocol or engine error comes
 // back as a structured {"ok":false,"error":{code,message}} frame carrying
@@ -60,8 +65,6 @@
 
 #include "common/status.h"
 #include "server/json.h"
-#include "server/plan_cache.h"
-#include "server/result_cache.h"
 #include "server/tenant_quotas.h"
 
 namespace queryer {
@@ -82,12 +85,6 @@ struct ServerOptions {
   /// Seconds a connection may sit idle (no complete frame) before the
   /// server sends a goodbye frame and closes it. 0 = never.
   double idle_timeout = 300;
-  /// Shared prepared-plan cache capacity (entries).
-  std::size_t plan_cache_capacity = 128;
-  /// Result cache budget (total bytes / per-answer bytes). Answers larger
-  /// than the per-entry bound are never cached.
-  std::size_t result_cache_bytes = 8u << 20;
-  std::size_t result_cache_entry_bytes = 256u << 10;
   /// Hard bound on one request frame; longer lines are discarded and
   /// answered with a structured error.
   std::size_t max_frame_bytes = 1u << 20;
@@ -126,8 +123,6 @@ class QueryServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Introspection for tests and the METRICS verb.
-  PlanCache& plan_cache() { return plan_cache_; }
-  ResultCache& result_cache() { return result_cache_; }
   TenantQuotas& quotas() { return quotas_; }
   std::size_t active_connections() const;
 
@@ -157,8 +152,6 @@ class QueryServer {
   QueryEngine* const engine_;
   const ServerOptions options_;
 
-  PlanCache plan_cache_;
-  ResultCache result_cache_;
   TenantQuotas quotas_;
 
   std::atomic<bool> stop_{false};

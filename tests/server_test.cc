@@ -1,9 +1,11 @@
 // QueryServer protocol tests: round-trips over real sockets, malformed
 // frames as structured errors (never dropped connections), mid-stream
 // disconnect releasing everything the connection held (engine admission
-// slot + coordinator claims — the PR-8 phantom-slot probe, over the wire),
-// per-tenant quota shedding that does not starve other tenants, plan-cache
-// reuse, and result-cache invalidation driven by Link Index epochs.
+// slot + coordinator claims — the phantom-slot probe, over the wire),
+// per-tenant quota shedding that does not starve other tenants, and
+// freshness: every EXECUTE runs on the engine, so an answer reflects the
+// links another connection published, and a repeat is served by the Link
+// Index with 0 comparisons.
 //
 // Every test runs a real server on an ephemeral loopback port; engine
 // admission timeouts are set so a buggy slot leak fails fast as a shed
@@ -192,7 +194,6 @@ TEST_F(ServerTest, ExecuteDedupMatchesInProcessAnswer) {
   auto executed = client->Execute(kDedupSql);
   ASSERT_TRUE(executed.ok()) << executed.status().ToString();
   EXPECT_EQ(executed->rows, reference);
-  EXPECT_FALSE(executed->cached);
   EXPECT_GT(executed->comparisons_executed, 0u);
 }
 
@@ -226,8 +227,8 @@ TEST_F(ServerTest, CancelSurfacesOnNextAndReleasesCursor) {
 // ---------------------------------------------------------------------------
 
 // Malformed frames — garbage bytes, non-object JSON, unknown verbs, bad
-// handles, verbs before HELLO — each get a structured error frame and the
-// connection keeps serving.
+// handles, verbs before HELLO, unparsable SQL — each get a structured
+// error frame and the connection keeps serving.
 TEST_F(ServerTest, MalformedFramesGetStructuredErrorsNotDisconnects) {
   TestServer ts = StartServer({dsd_->table});
   RawConn conn = RawConn::Open(ts.port());
@@ -252,12 +253,52 @@ TEST_F(ServerTest, MalformedFramesGetStructuredErrorsNotDisconnects) {
   ASSERT_TRUE(conn.Send(R"({"op":"NEXT","cursor":99})"));
   EXPECT_NE(conn.ReadLine().find("\"Not found\""), std::string::npos);
 
+  // A PREPARE whose SQL does not parse is an error frame too.
+  ASSERT_TRUE(conn.Send(R"({"op":"PREPARE","sql":"SELECT FROM WHERE"})"));
+  EXPECT_NE(conn.ReadLine().find("\"Parse error\""), std::string::npos);
+
   // After all that abuse, real work still flows on the same connection.
   ASSERT_TRUE(conn.Send(
       R"({"op":"EXECUTE","sql":"SELECT id FROM dsd WHERE MOD(id, 100) < 1"})"));
   std::string answer = conn.ReadLine();
   EXPECT_NE(answer.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(answer.find("\"rows\""), std::string::npos);
+}
+
+// Counts that no uint64_t holds exactly — an infinite (1e400 parses to
+// inf), huge or fractional "n" / "stmt" — are structured InvalidArgument
+// errors counted as protocol errors, never a float-to-integer conversion,
+// and the connection keeps serving.
+TEST_F(ServerTest, NonIntegralCountsAreRejectedAsInvalidArgument) {
+  TestServer ts = StartServer({dsd_->table});
+  RawConn conn = RawConn::Open(ts.port());
+  ASSERT_GE(conn.fd, 0);
+  ASSERT_TRUE(conn.Send(R"({"op":"HELLO","tenant":"t"})"));
+  EXPECT_NE(conn.ReadLine().find("\"ok\":true"), std::string::npos);
+  ASSERT_TRUE(conn.Send(
+      R"({"op":"OPEN","sql":"SELECT id FROM dsd WHERE MOD(id, 100) < 1"})"));
+  std::string opened = conn.ReadLine();
+  ASSERT_NE(opened.find("\"cursor\":1"), std::string::npos) << opened;
+
+  const std::uint64_t errors_before =
+      GlobalServerMetrics().protocol_errors->Value();
+  for (const char* frame : {R"({"op":"NEXT","cursor":1,"n":1e400})",
+                            R"({"op":"OPEN","stmt":1e30})",
+                            R"({"op":"NEXT","cursor":1,"n":2.5})",
+                            R"({"op":"NEXT","cursor":1.5,"n":1})",
+                            R"({"op":"CLOSE","cursor":18446744073709551616})"}) {
+    ASSERT_TRUE(conn.Send(frame));
+    std::string reply = conn.ReadLine();
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << frame;
+    EXPECT_NE(reply.find("\"Invalid argument\""), std::string::npos)
+        << frame << " -> " << reply;
+  }
+  EXPECT_EQ(GlobalServerMetrics().protocol_errors->Value(), errors_before + 5);
+
+  // The cursor survived every refused frame and still pages to the end.
+  ASSERT_TRUE(conn.Send(R"({"op":"NEXT","cursor":1,"n":100000})"));
+  std::string page = conn.ReadLine();
+  EXPECT_NE(page.find("\"done\":true"), std::string::npos) << page;
 }
 
 // Over-long frames are swallowed and refused without losing the framing.
@@ -409,81 +450,44 @@ TEST_F(ServerTest, TenantQuotaShedsWithoutStarvingOthers) {
 }
 
 // ---------------------------------------------------------------------------
-// Caches
+// Freshness
 // ---------------------------------------------------------------------------
 
-// The shared plan cache serves repeated PREPAREs of the same text — across
-// connections — without re-planning.
-TEST_F(ServerTest, PlanCacheServesRepeatedPrepares) {
+// Every EXECUTE runs on the engine: a repeat is served by the Link Index
+// with 0 comparisons, and after another connection publishes links on the
+// same table the next answer equals the in-process one at that moment.
+TEST_F(ServerTest, ExecuteReflectsLinksPublishedByAnotherConnection) {
   TestServer ts = StartServer({dsd_->table});
-  std::uint64_t hits_before = GlobalServerMetrics().plan_cache_hits->Value();
-
   auto a = Client::Connect("127.0.0.1", ts.port(), "tenant-a");
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(a->Prepare(kScanSql).ok());
-  EXPECT_EQ(ts.server->plan_cache().size(), 1u);
-
   auto b = Client::Connect("127.0.0.1", ts.port(), "tenant-b");
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  ASSERT_TRUE(b->Prepare(kScanSql).ok());
-  EXPECT_EQ(ts.server->plan_cache().size(), 1u)
-      << "second PREPARE of the same text must reuse the cached plan";
-  EXPECT_GE(GlobalServerMetrics().plan_cache_hits->Value(), hits_before + 1);
 
-  // Parse errors are never cached.
-  EXPECT_FALSE(a->Prepare("SELECT FROM WHERE").ok());
-  EXPECT_EQ(ts.server->plan_cache().size(), 1u);
-}
-
-// The hot-query path: the first EXECUTE computes and caches, the repeat is
-// served from the result cache with zero engine work, and a link
-// publication on an involved table (another query's resolution advancing
-// the Link Index epoch) provably invalidates the cached answer.
-TEST_F(ServerTest, ResultCacheHitsUntilLinkPublicationMovesEpoch) {
-  TestServer ts = StartServer({dsd_->table});
-  auto client = Client::Connect("127.0.0.1", ts.port(), "tenant-a");
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-
-  auto first = client->Execute(kDedupSql);
+  auto first = a->Execute(kDedupSql);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(first->cached);
-
-  // Repeat: a pure cache hit — no session, no admission, 0 comparisons
-  // (the engine-wide counter does not move at all).
-  std::uint64_t comparisons_before =
-      GlobalEngineMetrics().comparisons_executed->Value();
-  std::uint64_t hits_before = GlobalServerMetrics().result_cache_hits->Value();
-  auto repeat = client->Execute(kDedupSql);
+  EXPECT_GT(first->comparisons_executed, 0u);
+  auto repeat = a->Execute(kDedupSql);
   ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
-  EXPECT_TRUE(repeat->cached);
+  EXPECT_EQ(repeat->comparisons_executed, 0u)
+      << "the Link Index did not serve the repeat";
   EXPECT_EQ(repeat->rows, first->rows);
-  EXPECT_EQ(GlobalEngineMetrics().comparisons_executed->Value(),
-            comparisons_before);
-  EXPECT_EQ(GlobalServerMetrics().result_cache_hits->Value(),
-            hits_before + 1);
 
-  // A DIFFERENT query resolves a disjoint selection: its resolution
-  // publishes links on dsd, which advances the Link Index epoch.
+  // Connection B resolves a disjoint selection on the same table: its
+  // resolution publishes links on dsd, which advances the Link Index epoch.
   std::uint64_t epoch_before =
       (*ts.engine->GetRuntime("dsd"))->link_index().epoch();
-  auto other = client->Execute(kDisjointDedupSql);
+  auto other = b->Execute(kDisjointDedupSql);
   ASSERT_TRUE(other.ok()) << other.status().ToString();
   ASSERT_GT((*ts.engine->GetRuntime("dsd"))->link_index().epoch(),
             epoch_before)
       << "the disjoint DEDUP published nothing; the probe is inert";
 
-  // The cached answer for the original statement is now stale: the next
-  // EXECUTE detects the moved epoch, drops the entry and re-executes.
-  std::uint64_t invalidated_before =
-      GlobalServerMetrics().result_cache_invalidated->Value();
-  auto after = client->Execute(kDedupSql);
+  // A's next answer is what the engine answers in-process right now.
+  auto after = a->Execute(kDedupSql);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  EXPECT_FALSE(after->cached) << "stale entry served after epoch advance";
-  EXPECT_EQ(GlobalServerMetrics().result_cache_invalidated->Value(),
-            invalidated_before + 1);
-  // Same answer — the links all survived; nothing needed re-comparing.
-  EXPECT_EQ(after->rows, first->rows);
-  EXPECT_EQ(after->comparisons_executed, 0u);
+  auto in_process = ts.engine->Execute(kDedupSql);
+  ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+  EXPECT_EQ(after->rows, in_process->rows);
 }
 
 // ---------------------------------------------------------------------------

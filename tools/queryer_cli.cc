@@ -9,7 +9,7 @@
 //   \next [n]           fetch the next page of the open cursor
 //   \cancel             cancel the open cursor (next \next reports it)
 //   \close              close the open cursor
-//   \exec SELECT ...    one-shot EXECUTE (exercises the result cache)
+//   \exec SELECT ...    one-shot EXECUTE, prints rows and comparisons
 //   \page n             set the page size (default 20)
 //   \metrics            server metrics (raw JSON)
 //   \help, \q
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
       std::printf(
           "SELECT ...   open a cursor, print the first page\n"
           "\\next [n]    next page    \\cancel  cancel    \\close  close\n"
-          "\\exec SQL    one-shot EXECUTE (result cache)\n"
+          "\\exec SQL    one-shot EXECUTE (rows + comparisons)\n"
           "\\page n      page size    \\metrics server metrics    \\q  quit\n");
       continue;
     }
@@ -184,8 +184,7 @@ int main(int argc, char** argv) {
         continue;
       }
       PrintRows(result->columns, result->rows);
-      std::printf("-- %zu rows (%s, %llu comparisons)\n", result->rows.size(),
-                  result->cached ? "result cache" : "executed",
+      std::printf("-- %zu rows (%llu comparisons)\n", result->rows.size(),
                   static_cast<unsigned long long>(
                       result->comparisons_executed));
       continue;
