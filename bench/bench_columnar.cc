@@ -6,9 +6,8 @@
 //    materialization) and code-only column sweeps (the compare-by-code
 //    currency of filters and joins).
 //  - queries:  end-to-end SELECTs through the engine — full scan, the
-//    truth-table filter ladder, and the equi-join — row-major results.
-//  - layouts:  the same full scan delivered row-major vs column-major, the
-//    late-materialization emit boundary both ways.
+//    truth-table filter ladder, and the equi-join (join rows are entity
+//    references until the emit boundary materializes them).
 //
 // Each measurement runs `kReps` times and reports the best. Honors the
 // shared bench flags: --threads=N and --batch-size=N (0 = engine default).
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
     Report("code_sweep", rows * width, checksum, seconds, "cells/s");
   }
 
-  // -- Engine queries (row-major results) ---------------------------------
+  // -- Engine queries ----------------------------------------------------
 
   queryer::EngineOptions options;
   options.num_threads = Threads();
@@ -139,20 +138,14 @@ int main(int argc, char** argv) {
   struct QuerySpec {
     const char* name;
     std::string sql;
-    queryer::ResultLayout layout;
   };
   const std::vector<QuerySpec> queries = {
-      {"scan_rows", "SELECT * FROM oagp", queryer::ResultLayout::kRowMajor},
-      {"scan_cols", "SELECT * FROM oagp", queryer::ResultLayout::kColumnMajor},
-      {"filter5", "SELECT * FROM oagp WHERE MOD(id, 100) < 5",
-       queryer::ResultLayout::kRowMajor},
-      {"filter50", "SELECT * FROM oagp WHERE MOD(id, 100) < 50",
-       queryer::ResultLayout::kRowMajor},
-      {"join", "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title",
-       queryer::ResultLayout::kRowMajor},
+      {"scan_rows", "SELECT * FROM oagp"},
+      {"filter5", "SELECT * FROM oagp WHERE MOD(id, 100) < 5"},
+      {"filter50", "SELECT * FROM oagp WHERE MOD(id, 100) < 50"},
+      {"join", "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title"},
   };
   for (const QuerySpec& query : queries) {
-    options.result_layout = query.layout;
     queryer::QueryEngine engine(options);
     for (const auto& t : {oagp.table, oagv.table}) {
       queryer::Status status = engine.RegisterTable(t);

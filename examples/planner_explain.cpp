@@ -49,14 +49,6 @@ int main() {
   if (stmt.ok() && ppl_runtime.ok() && oao_runtime.ok()) {
     queryer::StatisticsCache& stats = engine.statistics();
     std::printf("== Planner statistics ==\n");
-    std::printf("duplication factor ppl: %s\n",
-                queryer::FormatDouble(
-                    stats.DuplicationFactor(ppl_runtime->get()), 3)
-                    .c_str());
-    std::printf("duplication factor oao: %s\n",
-                queryer::FormatDouble(
-                    stats.DuplicationFactor(oao_runtime->get()), 3)
-                    .c_str());
     std::printf("join fraction ppl.org -> oao.name: %s\n",
                 queryer::FormatDouble(
                     stats.JoinFraction(ppl_runtime->get(), "org",

@@ -20,7 +20,6 @@ void PrintResult(const queryer::QueryResult& result) {
     std::printf("%-62s", column.c_str());
   }
   std::printf("\n");
-  // ValueAt/num_rows work for either result layout (row- or column-major).
   for (std::size_t r = 0; r < result.num_rows(); ++r) {
     for (std::size_t c = 0; c < result.columns.size(); ++c) {
       const std::string_view value = result.ValueAt(r, c);

@@ -48,12 +48,7 @@ int main(int argc, char** argv) {
 
   for (queryer::ExecutionMode mode :
        {queryer::ExecutionMode::kBatch, queryer::ExecutionMode::kAdvanced}) {
-    // Analysis workloads read answers a column at a time, so ask the engine
-    // for column-major results; ColumnIndex/ValueAt below don't care which
-    // layout the engine produced.
-    queryer::EngineOptions options;
-    options.result_layout = queryer::ResultLayout::kColumnMajor;
-    queryer::QueryEngine engine(options);
+    queryer::QueryEngine engine;
     if (!engine.RegisterTable(papers.table).ok() ||
         !engine.RegisterTable(venues.table).ok()) {
       std::fprintf(stderr, "table registration failed\n");

@@ -38,16 +38,6 @@ enum class ExecutionMode {
 
 std::string_view ExecutionModeToString(ExecutionMode mode);
 
-/// \brief Physical layout of a materialized QueryResult.
-enum class ResultLayout {
-  /// `rows[i]` holds row i — one value vector per row (the classic shape).
-  kRowMajor,
-  /// `column_data[j]` holds column j, one value per row in emission order.
-  /// Cheaper to materialize (per-column vectors grow without per-row
-  /// allocations) and the natural shape for export to columnar consumers.
-  kColumnMajor,
-};
-
 /// \brief Engine-wide configuration. Blocking/meta-blocking/matching apply
 /// to tables registered afterwards.
 struct EngineOptions {
@@ -113,10 +103,6 @@ struct EngineOptions {
   /// carry the session id in their args.
   /// Captured at Prepare time like the rest of the options.
   std::shared_ptr<TraceSink> trace_sink;
-  /// Physical layout of QueryResult answers materialized by Execute().
-  /// Streaming cursors are unaffected (they deliver RowBatches). Both
-  /// layouts hold the same answer; only the storage shape differs.
-  ResultLayout result_layout = ResultLayout::kRowMajor;
   /// Persistence root. Empty (default) = persistence off: the engine is
   /// purely in-memory, exactly the pre-persistence behavior. When set,
   /// every registered table gets a durable Link Index under
@@ -137,18 +123,11 @@ struct EngineOptions {
 
 /// \brief A materialized query answer plus its execution statistics.
 ///
-/// Exactly one of `rows` / `column_data` is populated, per `layout`.
-/// Position-independent consumers should use the accessors — ColumnIndex()
-/// to find a column by name (case-insensitive, like the engine's schema
-/// lookup) and ValueAt() to read a cell regardless of layout.
+/// `rows[i][j]` is row i, column j. ColumnIndex() finds a column by name
+/// (case-insensitive, like the engine's schema lookup).
 struct QueryResult {
   std::vector<std::string> columns;
-  /// Which of `rows` / `column_data` holds the answer.
-  ResultLayout layout = ResultLayout::kRowMajor;
-  /// Row-major storage: rows[i][j] is row i, column j.
   std::vector<std::vector<std::string>> rows;
-  /// Column-major storage: column_data[j][i] is row i, column j.
-  std::vector<std::vector<std::string>> column_data;
   ExecStats stats;
   std::string plan_text;
 
@@ -160,19 +139,11 @@ struct QueryResult {
     return std::nullopt;
   }
 
-  /// Number of answer rows, independent of layout.
-  std::size_t num_rows() const {
-    return layout == ResultLayout::kColumnMajor
-               ? (column_data.empty() ? 0 : column_data.front().size())
-               : rows.size();
-  }
+  std::size_t num_rows() const { return rows.size(); }
 
-  /// Cell (row, col), independent of layout. No bounds checking beyond the
-  /// underlying vectors'.
+  /// Cell (row, col). No bounds checking beyond the underlying vectors'.
   std::string_view ValueAt(std::size_t row, std::size_t col) const {
-    return layout == ResultLayout::kColumnMajor
-               ? std::string_view(column_data[col][row])
-               : std::string_view(rows[row][col]);
+    return rows[row][col];
   }
 };
 

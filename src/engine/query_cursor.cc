@@ -173,7 +173,7 @@ void QueryCursor::TerminateLocked(Status status) {
     // Close cascades down the tree on this (the consumer) thread; no
     // operator leaves pool work behind between calls. A tree that never
     // opened (lazy open not reached, or EnsureOpen failed) is torn down by
-    // destructors alone — the DrainOperator contract: no Close after a
+    // destructors alone — the DrainReferences contract: no Close after a
     // failed (or skipped) Open.
     if (tree_opened_) root_->Close();
     root_.reset();

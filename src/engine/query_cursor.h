@@ -161,7 +161,7 @@ class QueryCursor {
   /// Lazily opens the operator tree (first Next only). The `cursor.open`
   /// failpoint fires here; operator exceptions become Status::Internal.
   /// On failure the tree is torn down WITHOUT Close (same contract as
-  /// DrainOperator: destructors cancel whatever the partial Open
+  /// DrainReferences: destructors cancel whatever the partial Open
   /// dispatched).
   Status EnsureOpen();
   /// Transitions into a terminal state: closes the tree, releases the

@@ -367,20 +367,42 @@ Result<CursorPtr> QueryEngine::ExecuteStream(const std::string& sql) {
 
 namespace {
 
-// The EXPLAIN presentation: one plan line per result row, PostgreSQL-style,
-// shaped to the configured result layout so consumers keep one code path.
-void FillPlanTextResult(QueryResult* result, const std::string& text,
-                        ResultLayout layout) {
+// The EXPLAIN presentation: one plan line per result row, PostgreSQL-style.
+void FillPlanTextResult(QueryResult* result, const std::string& text) {
   result->columns = {"QUERY PLAN"};
-  result->layout = layout;
   result->rows.clear();
-  result->column_data.clear();
-  if (layout == ResultLayout::kColumnMajor) {
-    result->column_data.push_back(Split(text, '\n'));
-    return;
-  }
   for (std::string& line : Split(text, '\n')) {
     result->rows.push_back({std::move(line)});
+  }
+}
+
+// Appends a batch's rows to `rows`. Owned rows (Project / Group-Entities
+// output) move. Reference rows materialize here, the late-materialization
+// boundary, a column at a time, so each column's dictionary (codes + arena)
+// stays cache-resident instead of being re-touched row by row. The vector
+// reserves ahead by the batch's row count (growth stays geometric).
+void AppendBatch(RowBatch* batch, std::vector<std::vector<std::string>>* rows) {
+  const std::size_t n = batch->size();
+  const std::size_t base = rows->size();
+  if (rows->capacity() - base < n) {
+    rows->reserve(std::max(base + n, 2 * rows->capacity()));
+  }
+  if (!batch->reference_mode()) {
+    for (std::size_t i = 0; i < n; ++i) rows->push_back(batch->TakeValues(i));
+    return;
+  }
+  const Lineage& lineage = batch->lineage();
+  rows->resize(base + n);
+  for (std::size_t i = 0; i < n; ++i) {
+    (*rows)[base + i].resize(lineage.num_columns());
+  }
+  for (std::size_t col = 0; col < lineage.num_columns(); ++col) {
+    const ColumnSource& source = lineage.source(col);
+    const ColumnView cv = lineage.table(source.table).column(source.attribute);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string_view v = cv.value(batch->entity_ids(i)[source.table]);
+      (*rows)[base + i][col].assign(v.data(), v.size());
+    }
   }
 }
 
@@ -395,7 +417,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
     // admission slot, no session, no ER work).
     QUERYER_ASSIGN_OR_RETURN(std::string text, StaticPlanText(prepared));
     QueryResult result;
-    FillPlanTextResult(&result, text, options_.result_layout);
+    FillPlanTextResult(&result, text);
     result.plan_text = text;
     result.stats.total_seconds = total.ElapsedSeconds();
     return result;
@@ -409,77 +431,19 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   // Open, and the result must report the plan that actually executed.
   result.plan_text = cursor->plan_text();
 
-  // Materialize from the cursor. This is the late-materialization boundary:
-  // reference batches (scan/DEDUP output) turn into owned strings only
-  // here. Row-major answers take each row's values in one move (owned
-  // batches move, reference batches materialize); column-major answers
-  // append straight into per-column vectors — no per-row vector<string>
-  // allocation at all. Each drained batch reserves ahead by its row count
-  // (vector growth stays geometric — the larger of the two wins). EXPLAIN
-  // ANALYZE takes the same drain loop — the full execution is the point —
-  // but discards the answer.
+  // Materialize from the cursor. EXPLAIN ANALYZE takes the same drain
+  // loop — the full execution is the point — but discards the answer.
   const bool analyze = prepared.analyze();
-  const ResultLayout layout = options_.result_layout;
-  result.layout = layout;
-  if (layout == ResultLayout::kColumnMajor) {
-    result.column_data.resize(result.columns.size());
-  }
   RowBatch batch(cursor->batch_size());
-  std::vector<EntityId> ref_ids;  // Scratch for the reference-batch gather.
   while (true) {
     QUERYER_ASSIGN_OR_RETURN(bool has, cursor->Next(&batch));
     if (!has) break;
-    const std::size_t n = batch.size();
-    if (n == 0 || analyze) continue;
-    if (layout == ResultLayout::kColumnMajor) {
-      for (std::size_t col = 0; col < result.column_data.size(); ++col) {
-        std::vector<std::string>& out = result.column_data[col];
-        if (out.capacity() - out.size() < n) {
-          out.reserve(std::max(out.size() + n, 2 * out.capacity()));
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-          out.emplace_back(batch.value(i, col));
-        }
-      }
-    } else if (batch.reference_mode()) {
-      // Column-at-a-time gather: size the new rows once, then fill one
-      // column across the whole batch — each column's dictionary (codes +
-      // arena) stays cache-resident instead of being re-touched row by row.
-      const Table& table = *batch.reference_table();
-      const std::size_t width = table.num_attributes();
-      const std::size_t base = result.rows.size();
-      if (result.rows.capacity() - base < n) {
-        result.rows.reserve(std::max(base + n, 2 * result.rows.capacity()));
-      }
-      result.rows.resize(base + n);
-      for (std::size_t i = 0; i < n; ++i) {
-        result.rows[base + i].resize(width);
-      }
-      ref_ids.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        ref_ids.push_back(batch.entity_id(i));
-      }
-      for (std::size_t col = 0; col < width; ++col) {
-        const ColumnView cv = table.column(col);
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::string_view v = cv.value(ref_ids[i]);
-          result.rows[base + i][col].assign(v.data(), v.size());
-        }
-      }
-    } else {
-      if (result.rows.capacity() - result.rows.size() < n) {
-        result.rows.reserve(
-            std::max(result.rows.size() + n, 2 * result.rows.capacity()));
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        result.rows.push_back(batch.TakeValues(i));
-      }
-    }
+    if (!analyze) AppendBatch(&batch, &result.rows);
   }
   cursor->Close();
   if (analyze) {
     // After Close: the profile tree is final (Close times folded in).
-    FillPlanTextResult(&result, cursor->AnnotatedPlan(), layout);
+    FillPlanTextResult(&result, cursor->AnnotatedPlan());
   }
   // Moved, not copied: collected_comparisons can be huge under
   // collect_comparisons, and the closed cursor is about to die.

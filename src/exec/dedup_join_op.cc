@@ -1,13 +1,37 @@
 #include "exec/dedup_join_op.h"
 
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "exec/hash_join.h"
 
 namespace queryer {
+
+namespace {
+
+/// Numbers each row's duplicate group by ascending group key.
+std::vector<std::uint32_t> GroupRanks(const ReferenceRows& rows,
+                                      std::size_t* num_groups) {
+  std::vector<std::uint64_t> keys = rows.group_keys;
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<std::uint32_t> ranks(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    ranks[r] = static_cast<std::uint32_t>(
+        std::lower_bound(keys.begin(), keys.end(), rows.group_keys[r]) -
+        keys.begin());
+  }
+  *num_groups = keys.size();
+  return ranks;
+}
+
+void SortUnique(std::vector<std::pair<std::uint32_t, std::uint32_t>>* pairs) {
+  std::sort(pairs->begin(), pairs->end());
+  pairs->erase(std::unique(pairs->begin(), pairs->end()), pairs->end());
+}
+
+}  // namespace
 
 DedupJoinOp::DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
                          ExprPtr right_key, DirtySide dirty_side,
@@ -27,8 +51,10 @@ DedupJoinOp::DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
       batch_size_(batch_size),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)) {
-  QUERYER_CHECK(left_key_->IsBound());
-  QUERYER_CHECK(right_key_->IsBound());
+  QUERYER_CHECK(left_key_->kind() == ExprKind::kColumn &&
+                left_key_->IsBound());
+  QUERYER_CHECK(right_key_->kind() == ExprKind::kColumn &&
+                right_key_->IsBound());
   if (dirty_side_ != DirtySide::kNone) {
     QUERYER_CHECK(dirty_runtime_ != nullptr);
   }
@@ -45,106 +71,107 @@ Status DedupJoinOp::OpenImpl() {
 }
 
 Status DedupJoinOp::BuildOutput() {
-  QUERYER_ASSIGN_OR_RETURN(std::vector<Row> left_rows,
-                           DrainOperator(left_.get(), batch_size_));
-  QUERYER_ASSIGN_OR_RETURN(std::vector<Row> right_rows,
-                           DrainOperator(right_.get(), batch_size_));
+  ReferenceRows left;
+  ReferenceRows right;
+  QUERYER_RETURN_NOT_OK(DrainReferences(left_.get(), batch_size_, &left));
+  QUERYER_RETURN_NOT_OK(DrainReferences(right_.get(), batch_size_, &right));
+  const std::size_t left_key = left_key_->bound_index();
+  const std::size_t right_key = right_key_->bound_index();
+  JoinKeyIds keys;
 
   // Resolve the dirty input, if any (Alg. 1 lines 1-10).
   if (dirty_side_ != DirtySide::kNone) {
     const bool dirty_is_right = dirty_side_ == DirtySide::kRight;
-    std::vector<Row>& dirty_rows = dirty_is_right ? right_rows : left_rows;
-    const std::vector<Row>& clean_rows = dirty_is_right ? left_rows : right_rows;
-    const Expr& clean_key = dirty_is_right ? *left_key_ : *right_key_;
-    const Expr& dirty_key = dirty_is_right ? *right_key_ : *left_key_;
-
-    // Join keys of every variant on the resolved side.
-    std::unordered_set<std::string> clean_keys;
-    clean_keys.reserve(clean_rows.size());
-    for (const Row& row : clean_rows) {
-      std::string key = JoinKeyOf(clean_key, row.values);
-      if (!key.empty()) clean_keys.insert(std::move(key));
+    ReferenceRows& dirty = dirty_is_right ? right : left;
+    const ReferenceRows& clean = dirty_is_right ? left : right;
+    const std::size_t dirty_key = dirty_is_right ? right_key : left_key;
+    const std::size_t clean_key = dirty_is_right ? left_key : right_key;
+    if (dirty.size() > 0 && dirty.lineage.num_tables() != 1) {
+      return Status::ExecutionError(
+          "dirty input of Deduplicate-Join must come from a base table");
     }
+
+    // Intern the join keys of every variant on the resolved side first, so
+    // exactly the ids below `clean_keys` occur there.
+    for (std::size_t r = 0; r < clean.size(); ++r) {
+      keys.Of(clean.lineage, clean.row(r), clean_key);
+    }
+    const std::size_t clean_keys = keys.size();
 
     // QE' = dirty rows that join with the resolved side (Alg. 1 line 4).
     std::vector<EntityId> query_entities;
-    for (const Row& row : dirty_rows) {
-      if (row.entity_id == kInvalidEntityId) {
-        return Status::ExecutionError(
-            "dirty input of Deduplicate-Join must come from a base table");
-      }
-      std::string key = JoinKeyOf(dirty_key, row.values);
-      if (!key.empty() && clean_keys.count(key) > 0) {
-        query_entities.push_back(row.entity_id);
+    for (std::size_t r = 0; r < dirty.size(); ++r) {
+      if (keys.Of(dirty.lineage, dirty.row(r), dirty_key) < clean_keys) {
+        query_entities.push_back(dirty.row(r)[0]);
       }
     }
 
-    // Resolve QE' (Alg. 1 line 5) and materialize its DR from the table.
-    // Resolve returns the group keys from the same Link Index snapshot
-    // that determined the membership, so concurrent publishes cannot shear
-    // the groups mid-materialization.
+    // Resolve QE' (Alg. 1 line 5): its DR replaces the dirty input. Resolve
+    // returns the group keys from the same Link Index snapshot that
+    // determined the membership, so concurrent publishes cannot shear the
+    // groups.
     Deduplicator deduplicator(dirty_runtime_.get(), stats_, pool_,
                               trace_.get(), cancel_.get());
     std::vector<EntityId> group_keys;
     QUERYER_ASSIGN_OR_RETURN(std::vector<EntityId> resolved,
                              deduplicator.Resolve(query_entities, &group_keys));
-    const Table& table = dirty_runtime_->table();
-    dirty_rows.clear();
-    dirty_rows.reserve(resolved.size());
-    for (std::size_t i = 0; i < resolved.size(); ++i) {
-      Row row;
-      table.MaterializeRow(resolved[i], &row.values);
-      row.entity_id = resolved[i];
-      row.group_key = group_keys[i];
-      dirty_rows.push_back(std::move(row));
-    }
+    dirty.lineage = Lineage({&dirty_runtime_->table()});
+    dirty.ids = std::move(resolved);
+    dirty.group_keys.assign(group_keys.begin(), group_keys.end());
   }
 
   // Deduplicate-Join operation (Alg. 2) over two resolved inputs: find the
   // (left group, right group) pairs with at least one joining member pair,
   // then emit the Cartesian product of each joined pair's members.
-  std::unordered_map<std::string, std::set<std::uint64_t>> right_groups_by_key;
-  std::map<std::uint64_t, std::vector<const Row*>> right_members;
-  for (const Row& row : right_rows) {
-    right_members[row.group_key].push_back(&row);
-    std::string key = JoinKeyOf(*right_key_, row.values);
-    if (!key.empty()) right_groups_by_key[std::move(key)].insert(row.group_key);
-  }
+  std::size_t left_count = 0;
+  std::size_t right_count = 0;
+  const std::vector<std::uint32_t> left_group = GroupRanks(left, &left_count);
+  const std::vector<std::uint32_t> right_group =
+      GroupRanks(right, &right_count);
+  const Buckets left_members(left_group, left_count);
+  const Buckets right_members(right_group, right_count);
 
-  std::map<std::uint64_t, std::vector<const Row*>> left_members;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> joined_pairs;
-  for (const Row& row : left_rows) {
-    left_members[row.group_key].push_back(&row);
-    std::string key = JoinKeyOf(*left_key_, row.values);
-    if (key.empty()) continue;
-    auto it = right_groups_by_key.find(key);
-    if (it == right_groups_by_key.end()) continue;
-    for (std::uint64_t right_group : it->second) {
-      joined_pairs.emplace(row.group_key, right_group);
+  // (key id, right group) for every keyed right row, sorted and unique.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> right_by_key;
+  right_by_key.reserve(right.size());
+  for (std::size_t r = 0; r < right.size(); ++r) {
+    const std::uint32_t key = keys.Of(right.lineage, right.row(r), right_key);
+    if (key != JoinKeyIds::kNull) {
+      right_by_key.emplace_back(key, right_group[r]);
     }
   }
+  SortUnique(&right_by_key);
 
-  output_.clear();
-  // Size the output up front: the emission loop below would otherwise
-  // regrow through every Cartesian block.
-  std::size_t total_rows = 0;
-  for (const auto& [left_group, right_group] : joined_pairs) {
-    total_rows +=
-        left_members[left_group].size() * right_members[right_group].size();
+  // Group numbers ascend with group keys, so sorting the number pairs
+  // orders the joined pairs by (left group key, right group key).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> joined_pairs;
+  for (std::size_t r = 0; r < left.size(); ++r) {
+    const std::uint32_t key = keys.Of(left.lineage, left.row(r), left_key);
+    if (key == JoinKeyIds::kNull) continue;
+    auto it = std::lower_bound(right_by_key.begin(), right_by_key.end(),
+                               std::make_pair(key, std::uint32_t{0}));
+    for (; it != right_by_key.end() && it->first == key; ++it) {
+      joined_pairs.emplace_back(left_group[r], it->second);
+    }
   }
-  output_.reserve(total_rows);
-  std::uint64_t next_group = 0;
-  for (const auto& [left_group, right_group] : joined_pairs) {
-    std::uint64_t group = next_group++;
-    for (const Row* l : left_members[left_group]) {
-      for (const Row* r : right_members[right_group]) {
-        Row out;
-        out.values = l->values;
-        out.values.insert(out.values.end(), r->values.begin(),
-                          r->values.end());
-        out.group_key = group;
-        out.entity_id = kInvalidEntityId;
-        output_.push_back(std::move(out));
+  SortUnique(&joined_pairs);
+
+  // Each joined pair is one output group, numbered in pair order.
+  output_ = ReferenceRows();
+  output_.lineage = Lineage::Concat(left.lineage, right.lineage);
+  const std::size_t left_width = left.lineage.num_tables();
+  const std::size_t right_width = right.lineage.num_tables();
+  for (std::size_t p = 0; p < joined_pairs.size(); ++p) {
+    const auto [lg, rg] = joined_pairs[p];
+    for (std::uint32_t i = left_members.start[lg];
+         i < left_members.start[lg + 1]; ++i) {
+      const EntityId* l = left.row(left_members.items[i]);
+      for (std::uint32_t j = right_members.start[rg];
+           j < right_members.start[rg + 1]; ++j) {
+        const EntityId* r = right.row(right_members.items[j]);
+        output_.ids.insert(output_.ids.end(), l, l + left_width);
+        output_.ids.insert(output_.ids.end(), r, r + right_width);
+        output_.group_keys.push_back(p);
       }
     }
   }
@@ -152,9 +179,9 @@ Status DedupJoinOp::BuildOutput() {
 }
 
 Result<bool> DedupJoinOp::NextImpl(RowBatch* batch) {
-  return EmitMaterialized(&output_, &position_, batch);
+  return output_.EmitInto(&position_, batch);
 }
 
-void DedupJoinOp::CloseImpl() { output_.clear(); }
+void DedupJoinOp::CloseImpl() { output_ = ReferenceRows(); }
 
 }  // namespace queryer

@@ -12,7 +12,6 @@
 #ifndef QUERYER_EXEC_DEDUP_JOIN_OP_H_
 #define QUERYER_EXEC_DEDUP_JOIN_OP_H_
 
-#include <map>
 #include <memory>
 
 #include "exec/deduplicator.h"
@@ -27,9 +26,12 @@ namespace queryer {
 /// `dirty_side` selects the variant; the dirty child's rows must come from
 /// `dirty_runtime`'s base table with all columns intact (same contract as
 /// DeduplicateOp). With DirtySide::kNone both inputs are already resolved
-/// and only Alg. 2 runs. Key expressions must be bound to the respective
-/// child's columns. Output: left columns ++ right columns; group keys
-/// identify (left group, right group) pairs.
+/// and only Alg. 2 runs. Key expressions are column references bound to
+/// the respective child's columns. Both inputs are buffered as entity
+/// references and joined on interned key ids. Output: left columns ++ right
+/// columns, as join rows referencing one entity per input table; group keys
+/// identify (left group, right group) pairs, in ascending order of the two
+/// groups' keys.
 class DedupJoinOp final : public PhysicalOperator {
  public:
   /// `pool` parallelizes the dirty side's comparison execution (null =
@@ -62,7 +64,7 @@ class DedupJoinOp final : public PhysicalOperator {
   std::shared_ptr<TraceSink> trace_;
   std::shared_ptr<const CancelContext> cancel_;
 
-  std::vector<Row> output_;
+  ReferenceRows output_;
   std::size_t position_ = 0;
 };
 

@@ -12,6 +12,7 @@ DeduplicateOp::DeduplicateOp(OperatorPtr child,
                              std::shared_ptr<const CancelContext> cancel)
     : child_(std::move(child)),
       runtime_(std::move(runtime)),
+      lineage_({&runtime_->table()}),
       stats_(stats),
       pool_(pool),
       batch_size_(batch_size),
@@ -62,7 +63,7 @@ Result<bool> DeduplicateOp::NextImpl(RowBatch* batch) {
   // Emit references into the base table: resolved representatives flow
   // downstream (to GroupEntities or the emit boundary) without copying a
   // single string here.
-  batch->BeginReference(&runtime_->table());
+  batch->BeginReference(lineage_);
   while (position_ < result_entities_.size() && !batch->full()) {
     batch->AppendReference(result_entities_[position_],
                            group_keys_[position_]);

@@ -37,6 +37,7 @@ class DeduplicateOp final : public PhysicalOperator {
  private:
   OperatorPtr child_;
   std::shared_ptr<TableRuntime> runtime_;
+  Lineage lineage_;
   ExecStats* stats_;
   ThreadPool* pool_;
   std::size_t batch_size_;

@@ -58,7 +58,7 @@ class Executor {
   /// itself — which is how QueryCursor keeps an open tree streaming after
   /// the lowering Executor is gone. Callers drive the tree themselves
   /// (Open / Next* / Close); the cursor drain is the engine's ONLY drain
-  /// implementation (DrainOperator serves operators draining their own
+  /// implementation (DrainReferences serves operators buffering their own
   /// children).
   Result<OperatorPtr> Lower(const LogicalPlan& plan);
 

@@ -1,50 +1,11 @@
 #include "exec/group_entities_op.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/stopwatch.h"
 
 namespace queryer {
-
-namespace {
-
-/// One duplicate group under construction: per attribute, the distinct
-/// non-empty variants in first-seen order.
-struct Group {
-  std::vector<std::vector<std::string>> variants;
-};
-
-/// The groups (and each group's variants) in first-seen order.
-struct GroupTable {
-  std::vector<std::uint64_t> order;
-  std::unordered_map<std::uint64_t, Group> groups;
-};
-
-/// Folds one row into the table, preserving first-seen order of groups and
-/// variants.
-void AccumulateRow(const Row& row, std::size_t width, GroupTable* table) {
-  auto [it, inserted] = table->groups.try_emplace(row.group_key);
-  if (inserted) {
-    it->second.variants.resize(width);
-    table->order.push_back(row.group_key);
-  }
-  Group& group = it->second;
-  for (std::size_t a = 0; a < width && a < row.values.size(); ++a) {
-    const std::string& value = row.values[a];
-    if (value.empty()) continue;  // Nulls map to the empty variant.
-    auto& seen = group.variants[a];
-    bool duplicate = false;
-    for (const std::string& existing : seen) {
-      if (existing == value) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) seen.push_back(value);
-  }
-}
-
-}  // namespace
 
 GroupEntitiesOp::GroupEntitiesOp(OperatorPtr child, ExecStats* stats,
                                  std::size_t batch_size,
@@ -57,31 +18,47 @@ GroupEntitiesOp::GroupEntitiesOp(OperatorPtr child, ExecStats* stats,
 }
 
 Status GroupEntitiesOp::OpenImpl() {
-  QUERYER_ASSIGN_OR_RETURN(std::vector<Row> input,
-                           DrainOperator(child_.get(), batch_size_));
+  ReferenceRows input;
+  QUERYER_RETURN_NOT_OK(DrainReferences(child_.get(), batch_size_, &input));
   Stopwatch watch;
   TraceSpan span(trace_.get(), "group", "er");
 
-  const std::size_t width = output_columns_.size();
-  GroupTable table;
-  for (const Row& row : input) AccumulateRow(row, width, &table);
+  // Number the groups in first-seen order, then list each group's rows in
+  // input order.
+  std::unordered_map<std::uint64_t, std::uint32_t> group_index;
+  std::vector<std::uint32_t> group_of(input.size());
+  for (std::size_t r = 0; r < input.size(); ++r) {
+    group_of[r] = group_index
+                      .try_emplace(input.group_keys[r],
+                                   static_cast<std::uint32_t>(group_index.size()))
+                      .first->second;
+  }
+  const Buckets members(group_of, group_index.size());
 
-  output_.clear();
-  output_.reserve(table.order.size());
-  for (std::uint64_t key : table.order) {
-    const Group& group = table.groups[key];
-    Row row;
-    row.group_key = key;
-    row.values.reserve(width);
-    for (const auto& variants : group.variants) {
-      std::string fused;
-      for (std::size_t i = 0; i < variants.size(); ++i) {
-        if (i > 0) fused += kVariantSeparator;
-        fused += variants[i];
+  // Fuse each group's distinct non-empty variants per column, in first-seen
+  // order. Within one column equal dictionary codes are equal strings, so
+  // duplicates are dropped by code.
+  const std::size_t width = output_columns_.size();
+  output_.assign(group_index.size(), std::vector<std::string>(width));
+  std::vector<DictCode> seen;
+  for (std::size_t c = 0; c < input.lineage.num_columns(); ++c) {
+    const ColumnSource& source = input.lineage.source(c);
+    const Table& table = input.lineage.table(source.table);
+    const Dictionary& dictionary = table.dictionary(source.attribute);
+    for (std::size_t g = 0; g < output_.size(); ++g) {
+      std::string& fused = output_[g][c];
+      seen.clear();
+      for (std::uint32_t i = members.start[g]; i < members.start[g + 1]; ++i) {
+        const DictCode code = table.CodeAt(
+            input.row(members.items[i])[source.table], source.attribute);
+        const std::string_view value = dictionary.value(code);
+        if (value.empty()) continue;  // Nulls map to the empty variant.
+        if (std::find(seen.begin(), seen.end(), code) != seen.end()) continue;
+        if (!seen.empty()) fused += kVariantSeparator;
+        fused += value;
+        seen.push_back(code);
       }
-      row.values.push_back(std::move(fused));
     }
-    output_.push_back(std::move(row));
   }
 
   stats_->group_seconds += watch.ElapsedSeconds();
@@ -92,7 +69,11 @@ Status GroupEntitiesOp::OpenImpl() {
 }
 
 Result<bool> GroupEntitiesOp::NextImpl(RowBatch* batch) {
-  return EmitMaterialized(&output_, &position_, batch);
+  batch->Clear();
+  while (position_ < output_.size() && !batch->full()) {
+    *batch->AppendRow() = std::move(output_[position_++]);
+  }
+  return !batch->empty();
 }
 
 void GroupEntitiesOp::CloseImpl() { output_.clear(); }

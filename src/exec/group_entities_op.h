@@ -12,9 +12,10 @@
 
 namespace queryer {
 
-/// \brief Physical Group-Entities operator. Groups child rows by group key
-/// (first-appearance order) and emits one fused row per group.
-/// `batch_size` sizes the batches draining the child.
+/// \brief Physical Group-Entities operator. Buffers the child's entity
+/// references, groups them by group key (first-appearance order) and emits
+/// one owned, fused row per group; the fused strings are the only values it
+/// builds. `batch_size` sizes the batches draining the child.
 class GroupEntitiesOp final : public PhysicalOperator {
  public:
   /// `stats` receives the group timing; `trace` (may be null) receives the
@@ -35,7 +36,7 @@ class GroupEntitiesOp final : public PhysicalOperator {
   ExecStats* stats_;
   std::size_t batch_size_;
   std::shared_ptr<TraceSink> trace_;
-  std::vector<Row> output_;
+  std::vector<std::vector<std::string>> output_;  // One fused row per group.
   std::size_t position_ = 0;
 };
 

@@ -16,18 +16,19 @@ GroupFilterOp::GroupFilterOp(OperatorPtr child, ExprPtr predicate,
 }
 
 Status GroupFilterOp::OpenImpl() {
-  QUERYER_ASSIGN_OR_RETURN(std::vector<Row> input,
-                           DrainOperator(child_.get(), batch_size_));
+  ReferenceRows input;
+  QUERYER_RETURN_NOT_OK(DrainReferences(child_.get(), batch_size_, &input));
   std::unordered_set<std::uint64_t> passing_groups;
-  for (const Row& row : input) {
-    if (predicate_->EvalBoolFast(row.values)) {
-      passing_groups.insert(row.group_key);
+  for (std::size_t r = 0; r < input.size(); ++r) {
+    if (predicate_->EvalBoolFast(input.lineage.Ref(input.row(r)))) {
+      passing_groups.insert(input.group_keys[r]);
     }
   }
-  output_.clear();
-  for (Row& row : input) {
-    if (passing_groups.count(row.group_key) > 0) {
-      output_.push_back(std::move(row));
+  output_ = ReferenceRows();
+  output_.lineage = input.lineage;
+  for (std::size_t r = 0; r < input.size(); ++r) {
+    if (passing_groups.count(input.group_keys[r]) > 0) {
+      output_.Append(input.row(r), input.group_keys[r]);
     }
   }
   position_ = 0;
@@ -35,9 +36,9 @@ Status GroupFilterOp::OpenImpl() {
 }
 
 Result<bool> GroupFilterOp::NextImpl(RowBatch* batch) {
-  return EmitMaterialized(&output_, &position_, batch);
+  return output_.EmitInto(&position_, batch);
 }
 
-void GroupFilterOp::CloseImpl() { output_.clear(); }
+void GroupFilterOp::CloseImpl() { output_ = ReferenceRows(); }
 
 }  // namespace queryer

@@ -16,8 +16,8 @@
 
 namespace queryer {
 
-/// \brief Blocking duplicate-group filter (materializes its input).
-/// `batch_size` sizes the batches draining the child.
+/// \brief Blocking duplicate-group filter: buffers its input as entity
+/// references. `batch_size` sizes the batches draining the child.
 class GroupFilterOp final : public PhysicalOperator {
  public:
   GroupFilterOp(OperatorPtr child, ExprPtr predicate,
@@ -31,7 +31,7 @@ class GroupFilterOp final : public PhysicalOperator {
   OperatorPtr child_;
   ExprPtr predicate_;
   std::size_t batch_size_;
-  std::vector<Row> output_;
+  ReferenceRows output_;
   std::size_t position_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -17,29 +19,31 @@ std::string CanonicalJoinKey(std::string_view value) {
   return ToLower(value);
 }
 
-std::string JoinKeyOf(const Expr& key_expr, const RowRef& row) {
-  return CanonicalJoinKey(key_expr.EvalValue(row).text);
-}
-
-namespace {
-
-// Concatenates left ++ right into `out`, with the left side read out of a
-// batch (owned or reference mode): a reference-mode probe row materializes
-// here, only on a match — the join's late-materialization point. Element-
-// wise, so the out row's string buffers are reused across batches.
-void ConcatInto(const RowBatch& left_batch, std::size_t i, const Row& right,
-                Row* out) {
-  const std::size_t ln = left_batch.width(i);
-  const std::size_t rn = right.values.size();
-  out->values.resize(ln + rn);
-  for (std::size_t c = 0; c < ln; ++c) {
-    const std::string_view v = left_batch.value(i, c);
-    out->values[c].assign(v.data(), v.size());
+std::uint32_t JoinKeyIds::Of(const Lineage& lineage, const EntityId* ids,
+                            std::size_t column) {
+  const ColumnSource& source = lineage.source(column);
+  const Table& table = lineage.table(source.table);
+  const Dictionary& dictionary = table.dictionary(source.attribute);
+  auto cache = std::find_if(by_code_.begin(), by_code_.end(), [&](auto& c) {
+    return c.first == &dictionary;
+  });
+  if (cache == by_code_.end()) {
+    by_code_.emplace_back(&dictionary, std::vector<std::uint32_t>(
+                                           dictionary.size(), kUnseen));
+    cache = by_code_.end() - 1;
   }
-  for (std::size_t c = 0; c < rn; ++c) out->values[ln + c] = right.values[c];
+  const DictCode code = table.CodeAt(ids[source.table], source.attribute);
+  std::uint32_t& id = cache->second[code];
+  if (id == kUnseen) {
+    std::string key = CanonicalJoinKey(dictionary.value(code));
+    id = key.empty()
+             ? kNull
+             : ids_.try_emplace(std::move(key),
+                                static_cast<std::uint32_t>(ids_.size()))
+                   .first->second;
+  }
+  return id;
 }
-
-}  // namespace
 
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
                        ExprPtr right_key, std::size_t batch_size)
@@ -48,8 +52,10 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
       left_key_(std::move(left_key)),
       right_key_(std::move(right_key)),
       batch_size_(batch_size == 0 ? 1 : batch_size) {
-  QUERYER_CHECK(left_key_->IsBound());
-  QUERYER_CHECK(right_key_->IsBound());
+  QUERYER_CHECK(left_key_->kind() == ExprKind::kColumn &&
+                left_key_->IsBound());
+  QUERYER_CHECK(right_key_->kind() == ExprKind::kColumn &&
+                right_key_->IsBound());
   output_columns_ = left_->output_columns();
   for (const std::string& column : right_->output_columns()) {
     output_columns_.push_back(column);
@@ -58,21 +64,21 @@ HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
 
 Status HashJoinOp::OpenImpl() {
   QUERYER_RETURN_NOT_OK(left_->Open());
-  QUERYER_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                           DrainOperator(right_.get(), batch_size_));
-  build_side_.clear();
-  // Sizing the table for one row per bucket up front avoids the rehash
-  // cascade the per-tuple inserts used to pay.
-  build_side_.reserve(rows.size());
-  for (Row& row : rows) {
-    std::string key = JoinKeyOf(*right_key_, row.values);
-    if (key.empty()) continue;  // NULL keys never join.
-    build_side_[std::move(key)].push_back(std::move(row));
+  keys_ = JoinKeyIds();
+  build_ = ReferenceRows();
+  QUERYER_RETURN_NOT_OK(DrainReferences(right_.get(), batch_size_, &build_));
+  // Bucket the build rows by key id, each bucket in build-side order. NULL
+  // keys never join.
+  std::vector<std::uint32_t> row_keys(build_.size());
+  for (std::size_t r = 0; r < build_.size(); ++r) {
+    row_keys[r] = keys_.Of(build_.lineage, build_.row(r),
+                           right_key_->bound_index());
   }
-  probe_live_ = false;
+  build_by_key_ = Buckets(row_keys, keys_.size());
+  output_lineage_ = Lineage();
+  if (probe_ != nullptr) probe_->Clear();
   probe_pos_ = 0;
-  current_matches_ = nullptr;
-  match_index_ = 0;
+  match_pos_ = match_end_ = 0;
   done_ = false;
   output_counter_ = 0;
   return Status::OK();
@@ -85,47 +91,55 @@ Result<bool> HashJoinOp::NextImpl(RowBatch* batch) {
     probe_ = std::make_unique<RowBatch>(batch->capacity());
   }
   while (!batch->full()) {
-    if (current_matches_ != nullptr) {
-      if (match_index_ < current_matches_->size()) {
-        const Row& right = (*current_matches_)[match_index_++];
-        Row* out = batch->AppendRow();
-        ConcatInto(*probe_, probe_pos_, right, out);
-        // A plain join output is its own group; dedup plans use DedupJoinOp
-        // which assigns real group keys.
-        out->group_key = output_counter_++;
-        out->entity_id = kInvalidEntityId;
-        continue;
-      }
-      current_matches_ = nullptr;
-      ++probe_pos_;
+    if (match_pos_ < match_end_) {
+      if (batch->empty()) batch->BeginReference(output_lineage_);
+      const EntityId* left = probe_->entity_ids(probe_pos_);
+      const EntityId* right =
+          build_.row(build_by_key_.items[match_pos_++]);
+      // A plain join output is its own group; dedup plans use DedupJoinOp
+      // which assigns real group keys.
+      EntityId* out = batch->AppendReferenceRow(output_counter_++);
+      out = std::copy(left, left + probe_->lineage().num_tables(), out);
+      std::copy(right, right + build_.lineage.num_tables(), out);
+      if (match_pos_ == match_end_) ++probe_pos_;
+      continue;
     }
-    if (!probe_live_ || probe_pos_ >= probe_->size()) {
+    if (probe_pos_ >= probe_->size()) {
       QUERYER_ASSIGN_OR_RETURN(bool has, left_->Next(probe_.get()));
       if (!has) {
         done_ = true;
         break;
       }
-      probe_live_ = true;
+      if (!probe_->empty()) {
+        if (!probe_->reference_mode()) {
+          return Status::ExecutionError(
+              "join input must be entity references, not projected rows");
+        }
+        if (output_lineage_.num_tables() == 0) {
+          output_lineage_ = Lineage::Concat(probe_->lineage(), build_.lineage);
+        }
+      }
       probe_pos_ = 0;
       continue;  // The new batch may itself be empty.
     }
-    std::string key = JoinKeyOf(*left_key_, probe_->RowRefAt(probe_pos_));
-    auto it = key.empty() ? build_side_.end() : build_side_.find(key);
-    if (it == build_side_.end()) {
+    const std::uint32_t key =
+        keys_.Of(probe_->lineage(), probe_->entity_ids(probe_pos_),
+                 left_key_->bound_index());
+    if (key >= build_by_key_.start.size() - 1) {  // NULL, or not built.
       ++probe_pos_;
       continue;
     }
-    current_matches_ = &it->second;
-    match_index_ = 0;
+    match_pos_ = build_by_key_.start[key];
+    match_end_ = build_by_key_.start[key + 1];
   }
   return !batch->empty() || !done_;
 }
 
 void HashJoinOp::CloseImpl() {
   left_->Close();
-  // Right child already closed by DrainOperator in Open().
-  build_side_.clear();
-  current_matches_ = nullptr;
+  // Right child already closed by DrainReferences in Open().
+  build_ = ReferenceRows();
+  build_by_key_ = Buckets();
 }
 
 }  // namespace queryer

@@ -4,6 +4,12 @@
 // to EngineOptions::batch_size tuples (MonetDB/X100-style vectorization), so
 // the per-tuple interpretation overhead of the classic Volcano protocol is
 // amortized over the batch.
+//
+// Rows below the emit boundary are entity references (see row_batch.h).
+// The blocking operators — HashJoin's build side, GroupFilter, DedupJoin,
+// Group-Entities — buffer their input as ReferenceRows (entity ids and
+// group keys, no strings) through DrainReferences. Only Project and
+// Group-Entities emit owned rows.
 
 #ifndef QUERYER_EXEC_OPERATOR_H_
 #define QUERYER_EXEC_OPERATOR_H_
@@ -101,17 +107,44 @@ class PhysicalOperator {
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
 
-/// \brief Drains an operator into a vector (Open/Next*/Close), moving rows
-/// out of the batch. `batch_size` sizes the internal batch; operators that
-/// materialize their child pass the executor's configured size through.
-Result<std::vector<Row>> DrainOperator(PhysicalOperator* op,
-                                       std::size_t batch_size = kDefaultBatchSize);
+/// \brief Reference rows buffered by a blocking operator: one lineage, and
+/// per row its entity ids and group key. Nothing is materialized.
+struct ReferenceRows {
+  Lineage lineage;
+  std::vector<EntityId> ids;  // lineage.num_tables() per row.
+  std::vector<std::uint64_t> group_keys;
 
-/// \brief Next() body shared by the materializing operators: moves rows of
-/// `rows` starting at *position into the (cleared) batch until it fills,
-/// advancing *position. Returns false once the stream is exhausted.
-bool EmitMaterialized(std::vector<Row>* rows, std::size_t* position,
-                      RowBatch* batch);
+  std::size_t size() const { return group_keys.size(); }
+  const EntityId* row(std::size_t r) const {
+    return ids.data() + r * lineage.num_tables();
+  }
+  void Append(const EntityId* row_ids, std::uint64_t group_key) {
+    ids.insert(ids.end(), row_ids, row_ids + lineage.num_tables());
+    group_keys.push_back(group_key);
+  }
+
+  /// Next() body of the buffering operators: clears `batch` and appends
+  /// rows from *position on until it fills, advancing *position. Returns
+  /// false once the rows are exhausted.
+  bool EmitInto(std::size_t* position, RowBatch* batch) const;
+};
+
+/// \brief A counting sort: items 0..n-1 bucketed by `bucket_of[item]`, each
+/// bucket in item order — bucket b is items[start[b], start[b + 1]). Items
+/// whose id is `num_buckets` or more are left out.
+struct Buckets {
+  Buckets() = default;
+  Buckets(const std::vector<std::uint32_t>& bucket_of, std::size_t num_buckets);
+
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> items;
+};
+
+/// \brief Drains `op` (Open / Next* / Close) into `out`, pulling batches of
+/// `batch_size` rows. Fails with ExecutionError on owned (projected) rows,
+/// which reference no entity.
+Status DrainReferences(PhysicalOperator* op, std::size_t batch_size,
+                       ReferenceRows* out);
 
 }  // namespace queryer
 

@@ -24,13 +24,11 @@ Result<bool> ProjectOp::NextImpl(RowBatch* batch) {
   // Same capacity on both batches: every selected input row fits.
   for (std::size_t i = 0; i < input_->size(); ++i) {
     const RowRef in = input_->RowRefAt(i);
-    Row* out = batch->AppendRow();
-    out->values.resize(exprs_.size());
+    std::vector<std::string>* out = batch->AppendRow();
+    out->resize(exprs_.size());
     for (std::size_t e = 0; e < exprs_.size(); ++e) {
-      out->values[e] = exprs_[e]->EvalValue(in).text;
+      (*out)[e] = exprs_[e]->EvalValue(in).text;
     }
-    out->group_key = input_->group_key(i);
-    out->entity_id = input_->entity_id(i);
   }
   return true;
 }

@@ -1,8 +1,8 @@
 // Project: evaluates the SELECT list over child batches. Unlike Filter, a
 // projection changes row shape, so it cannot just shrink the child's
 // selection vector: it pulls the child into an input batch it owns and
-// materializes the item expressions' values into the caller's batch (both
-// batches' row storage is recycled across calls).
+// writes the item expressions' values into the caller's batch as owned
+// rows (both batches' storage is recycled across calls).
 
 #ifndef QUERYER_EXEC_PROJECT_H_
 #define QUERYER_EXEC_PROJECT_H_
@@ -18,8 +18,9 @@ namespace queryer {
 
 /// \brief Projection. Item expressions must be bound against the child.
 /// Output column names come from aliases, or the expressions otherwise.
-/// The input batch is owned by the operator and recycled, so the child's
-/// rows are materialized into reused storage.
+/// Project is one of the two operators that build values: it emits owned
+/// rows, evaluating each item over the child's row (a reference row's
+/// values are read straight from the tables' dictionaries).
 class ProjectOp final : public PhysicalOperator {
  public:
   ProjectOp(OperatorPtr child, std::vector<ExprPtr> exprs,

@@ -3,7 +3,7 @@
 namespace queryer {
 
 TableScanOp::TableScanOp(TablePtr table, std::string alias)
-    : table_(std::move(table)) {
+    : table_(std::move(table)), lineage_({table_.get()}) {
   output_columns_.reserve(table_->num_attributes());
   for (const std::string& name : table_->schema().names()) {
     output_columns_.push_back(alias + "." + name);
@@ -21,7 +21,7 @@ Status TableScanOp::OpenImpl() {
 Result<bool> TableScanOp::NextImpl(RowBatch* batch) {
   batch->Clear();
   const std::size_t n = table_->num_rows();
-  batch->BeginReference(table_.get());
+  batch->BeginReference(lineage_);
   while (position_ < n && !batch->full()) {
     if (table_predicate_.Matches(position_)) {
       batch->AppendReference(position_, position_);

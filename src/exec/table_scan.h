@@ -44,6 +44,7 @@ class TableScanOp final : public PhysicalOperator {
 
  private:
   TablePtr table_;
+  Lineage lineage_;
   ExprPtr predicate_;
   // Compiled form of predicate_ against table_ (built at Open).
   TablePredicate table_predicate_;

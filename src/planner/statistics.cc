@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "blocking/block_join.h"
 #include "common/string_util.h"
 #include "exec/hash_join.h"
 #include "exec/table_predicate.h"
@@ -214,64 +212,6 @@ Result<double> StatisticsCache::EstimateComparisons(TableRuntime* runtime,
   QUERYER_ASSIGN_OR_RETURN(std::vector<EntityId> selected,
                            EstimateSelectedEntities(runtime, predicate, alias));
   return ApproximateComparisonsAfterMetaBlocking(runtime, selected);
-}
-
-Result<std::size_t> StatisticsCache::EstimateSelectionSize(
-    TableRuntime* runtime, const Expr* predicate, const std::string& alias) {
-  QUERYER_ASSIGN_OR_RETURN(std::vector<EntityId> selected,
-                           EstimateSelectedEntities(runtime, predicate, alias));
-  return selected.size();
-}
-
-double StatisticsCache::DuplicationFactor(TableRuntime* runtime) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = duplication_factor_.find(runtime);
-    if (it != duplication_factor_.end()) return it->second;
-  }
-  // Compute outside the lock: the sample cleaning is a whole ER run, and
-  // holding the cache mutex across it would stall sessions planning
-  // against other (disjoint) tables. Two sessions racing the same cold
-  // table may both compute; the value is deterministic, so the double
-  // work is harmless and the second insert is a no-op.
-
-  const Table& table = runtime->table();
-  const std::size_t n = table.num_rows();
-  if (n == 0) return 1.0;
-  std::size_t sample_size = std::min(kDuplicationSampleSize, n);
-  std::size_t stride = std::max<std::size_t>(1, n / sample_size);
-  std::vector<EntityId> sample;
-  for (std::size_t i = 0; i < n && sample.size() < sample_size; i += stride) {
-    sample.push_back(static_cast<EntityId>(i));
-  }
-
-  // Eagerly clean the sample on a scratch link index (the main LI must not
-  // learn these links — df is an offline statistic).
-  QueryBlockIndex qbi =
-      QueryBlockIndex::Build(table, sample, runtime->blocking_options());
-  BlockCollection enriched = BlockJoin(qbi, runtime->tbi());
-  MetaBlockingResult refined =
-      RunMetaBlocking(std::move(enriched), runtime->meta_blocking_config(),
-                      runtime->thread_pool());
-  LinkIndex scratch(n);
-  // Offline statistic with no cancel context: failure is impossible here
-  // outside injected chaos, and an injected evaluation failure links
-  // nothing, degrading the sample to a duplication factor of 1.
-  Result<StagedComparisons> staged = EvaluateComparisons(
-      table, refined.comparisons, runtime->matching_config(), scratch,
-      &runtime->attribute_weights());
-  if (staged.ok()) scratch.PublishLinks(staged->matched);
-  std::set<EntityId> dr;
-  for (EntityId e : sample) {
-    for (EntityId member : scratch.Cluster(e)) dr.insert(member);
-  }
-  double df = static_cast<double>(dr.size()) /
-              static_cast<double>(sample.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    duplication_factor_[runtime] = df;
-  }
-  return df;
 }
 
 double StatisticsCache::JoinFraction(TableRuntime* left,

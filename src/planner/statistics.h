@@ -9,9 +9,6 @@
 //    stops before Edge Pruning, whose output is too expensive to predict —
 //    the paper terminates at the BF step for the same reason.
 //
-//  * Duplication factor df: |DR|/|sample| measured by eagerly cleaning a
-//    sample at load time, used to predict |DR_E| sizes.
-//
 //  * Join fraction: percentage of one table's entities whose join key
 //    appears in another table, used to predict DR sizes after a join.
 
@@ -30,18 +27,12 @@ namespace queryer {
 
 /// \brief Cached statistics over the registered table runtimes.
 ///
-/// Thread-safe: concurrent query sessions plan simultaneously. The two
-/// memoized statistics guard their maps with a mutex; the expensive df
-/// sample cleaning computes outside the lock (two sessions racing one cold
-/// table may both compute the same deterministic value — harmless — while
-/// sessions on other tables are never stalled). The estimation entry
-/// points only read the runtime's once-built indices and the internally
+/// Thread-safe: concurrent query sessions plan simultaneously. The
+/// memoized join fractions sit behind a mutex; the estimation entry point
+/// only reads the runtime's once-built indices and the internally
 /// synchronized Link Index.
 class StatisticsCache {
  public:
-  /// Sample size for the eager offline cleaning that yields df.
-  static constexpr std::size_t kDuplicationSampleSize = 400;
-
   /// \brief Estimated comparisons for resolving the entities of `runtime`
   /// selected by `predicate` (nullptr = whole table). `alias` is the
   /// qualifier under which the predicate's column refs address this table.
@@ -49,25 +40,16 @@ class StatisticsCache {
                                      const Expr* predicate,
                                      const std::string& alias);
 
-  /// \brief Duplication factor: estimated |DR_E| / |QE_E| (>= 1).
-  double DuplicationFactor(TableRuntime* runtime);
-
   /// \brief Fraction of `left` entities whose `left_column` join key occurs
   /// in `right`'s `right_column` (in [0, 1]).
   double JoinFraction(TableRuntime* left, const std::string& left_column,
                       TableRuntime* right, const std::string& right_column);
-
-  /// \brief Estimated selected-set size for a predicate (|SE| ≈ |QE|).
-  Result<std::size_t> EstimateSelectionSize(TableRuntime* runtime,
-                                            const Expr* predicate,
-                                            const std::string& alias);
 
  private:
   Result<std::vector<EntityId>> EstimateSelectedEntities(
       TableRuntime* runtime, const Expr* predicate, const std::string& alias);
 
   std::mutex mutex_;
-  std::map<const TableRuntime*, double> duplication_factor_;
   std::map<std::string, double> join_fraction_;
 };
 

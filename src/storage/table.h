@@ -162,10 +162,17 @@ class TableBuilder {
   TablePtr table_;
 };
 
+/// \brief Where one column of a joined tuple lives: attribute `attribute`
+/// of the tuple's `table`-th entity.
+struct ColumnSource {
+  std::uint32_t table;
+  std::uint32_t attribute;
+};
+
 /// \brief Uniform read access to one tuple for expression evaluation,
-/// whether the tuple lives as owned strings (a materialized Row), as a row
-/// of a columnar Table, or as a single column value (TablePredicate's
-/// per-dictionary-code truth table).
+/// whether the tuple lives as owned strings, as a row of a columnar Table,
+/// as one row of each of several tables (a join row), or as a single column
+/// value (TablePredicate's per-dictionary-code truth table).
 class RowRef {
  public:
   /// Implicit: a materialized row's owned values.
@@ -174,6 +181,12 @@ class RowRef {
 
   RowRef(const Table& table, EntityId id)
       : kind_(Kind::kTable), table_(&table), id_(id) {}
+
+  /// A join row: entity `ids[t]` of `tables[t]` for each of its tables,
+  /// with column c read from `columns[c]`.
+  RowRef(const Table* const* tables, const ColumnSource* columns,
+         const EntityId* ids)
+      : kind_(Kind::kJoined), tables_(tables), columns_(columns), ids_(ids) {}
 
   /// A virtual tuple whose only populated column is `column` with value
   /// `value`; reading any other column is undefined. Used to evaluate a
@@ -192,6 +205,11 @@ class RowRef {
         return (*owned_)[column];
       case Kind::kTable:
         return table_->ValueAt(id_, column);
+      case Kind::kJoined: {
+        const ColumnSource& source = columns_[column];
+        return tables_[source.table]->ValueAt(ids_[source.table],
+                                              source.attribute);
+      }
       case Kind::kSingle:
       default:
         return single_value_;
@@ -199,7 +217,7 @@ class RowRef {
   }
 
  private:
-  enum class Kind : std::uint8_t { kOwned, kTable, kSingle };
+  enum class Kind : std::uint8_t { kOwned, kTable, kJoined, kSingle };
 
   RowRef() = default;
 
@@ -207,6 +225,9 @@ class RowRef {
   const std::vector<std::string>* owned_ = nullptr;
   const Table* table_ = nullptr;
   EntityId id_ = 0;
+  const Table* const* tables_ = nullptr;
+  const ColumnSource* columns_ = nullptr;
+  const EntityId* ids_ = nullptr;
   std::size_t single_column_ = 0;
   std::string_view single_value_;
 };

@@ -1,9 +1,9 @@
 // The columnar storage engine: dictionary encoding round-trips, the
 // TableBuilder/ColumnView/ValueAt API, TablePredicate's truth-table and
-// cardinality-gate paths, reference-mode RowBatches, the QueryResult
-// accessors over both result layouts, and the end-to-end determinism
+// cardinality-gate paths, reference-mode RowBatches (one-table and join
+// rows), the QueryResult accessors, and the end-to-end determinism
 // contract — scan, join and DEDUP answers are bit-identical across the
-// num_threads x batch_size matrix and across row-/column-major results.
+// num_threads x batch_size matrix.
 
 #include <gtest/gtest.h>
 
@@ -246,10 +246,11 @@ TEST(TablePredicateTest, MultiColumnFallsBackToRowEvaluation) {
 
 TEST(RowBatchTest, ReferenceModeReadsAndMaterializes) {
   TablePtr table = MakeSmallTable();
+  const Lineage lineage({table.get()});
   RowBatch batch(4);
-  batch.BeginReference(table.get());
+  batch.BeginReference(lineage);
   EXPECT_TRUE(batch.reference_mode());
-  EXPECT_EQ(batch.reference_table(), table.get());
+  EXPECT_EQ(batch.lineage(), lineage);
   batch.AppendReference(1, 101);
   batch.AppendReference(3, 103);
   batch.AppendReference(4, 104);
@@ -258,7 +259,7 @@ TEST(RowBatchTest, ReferenceModeReadsAndMaterializes) {
   // Mode-agnostic reads view straight into the table's dictionaries.
   EXPECT_EQ(batch.value(0, 1), "VLDB");
   EXPECT_EQ(batch.value(1, 1), "edbt");
-  EXPECT_EQ(batch.width(0), 3u);
+  EXPECT_EQ(batch.lineage().num_columns(), 3u);
   EXPECT_EQ(batch.group_key(2), 104u);
   EXPECT_EQ(batch.entity_id(1), 3u);
   EXPECT_EQ(batch.RowRefAt(2).Get(2), "2024");
@@ -272,71 +273,74 @@ TEST(RowBatchTest, ReferenceModeReadsAndMaterializes) {
   // Materialization copies out of the dictionaries.
   EXPECT_EQ(batch.TakeValues(0),
             (std::vector<std::string>{"3", "edbt", "2025"}));
-  Row row;
-  batch.MoveRowInto(0, &row);
-  EXPECT_EQ(row.entity_id, 3u);
-  EXPECT_EQ(row.group_key, 103u);
-  EXPECT_EQ(row.values, (std::vector<std::string>{"3", "edbt", "2025"}));
 
   // Clear drops reference mode; the batch is reusable as owned.
   batch.Clear();
   EXPECT_FALSE(batch.reference_mode());
-  Row* slot = batch.AppendRow();
-  slot->values = {"owned"};
+  *batch.AppendRow() = {"owned"};
   EXPECT_EQ(batch.value(0, 0), "owned");
+}
+
+TEST(RowBatchTest, JoinRowsReadEachTablesColumns) {
+  TablePtr left = MakeSmallTable();
+  TableBuilder builder("v", Schema({"title", "rank"}));
+  ASSERT_TRUE(builder.AddRow({"EDBT", "A"}).ok());
+  ASSERT_TRUE(builder.AddRow({"VLDB", "A*"}).ok());
+  TablePtr right = builder.Build();
+  const Lineage lineage =
+      Lineage::Concat(Lineage({left.get()}), Lineage({right.get()}));
+  ASSERT_EQ(lineage.num_tables(), 2u);
+  ASSERT_EQ(lineage.num_columns(), 5u);
+
+  RowBatch batch(2);
+  batch.BeginReference(lineage);
+  EntityId* ids = batch.AppendReferenceRow(7);
+  ids[0] = 1;  // t row 1: "1", "VLDB", "2024".
+  ids[1] = 1;  // v row 1: "VLDB", "A*".
+  ids = batch.AppendReferenceRow(8);
+  ids[0] = 5;
+  ids[1] = 0;
+  ASSERT_EQ(batch.size(), 2u);
+
+  EXPECT_EQ(batch.value(0, 1), "VLDB");
+  EXPECT_EQ(batch.value(0, 4), "A*");
+  EXPECT_EQ(batch.RowRefAt(1).Get(3), "EDBT");
+  EXPECT_EQ(batch.RowRefAt(1).Get(2), "2023");
+  EXPECT_EQ(batch.group_key(1), 8u);
+  // A join row maps to no single base-table entity.
+  EXPECT_EQ(batch.entity_id(0), kInvalidEntityId);
+  EXPECT_EQ(batch.entity_ids(1)[0], 5u);
+  EXPECT_EQ(batch.entity_ids(1)[1], 0u);
+  EXPECT_EQ(batch.TakeValues(1),
+            (std::vector<std::string>{"5", "EDBT", "2023", "EDBT", "A"}));
 }
 
 // ---- QueryResult accessors ----------------------------------------------
 
-TEST(QueryResultTest, AccessorsWorkInBothLayouts) {
-  QueryResult row_major;
-  row_major.columns = {"P.Title", "V.Rank"};
-  row_major.rows = {{"a", "A"}, {"b", "B"}, {"c", "C"}};
-
-  QueryResult column_major;
-  column_major.columns = {"P.Title", "V.Rank"};
-  column_major.layout = ResultLayout::kColumnMajor;
-  column_major.column_data = {{"a", "b", "c"}, {"A", "B", "C"}};
-
-  for (const QueryResult* result : {&row_major, &column_major}) {
-    EXPECT_EQ(result->num_rows(), 3u);
-    ASSERT_TRUE(result->ColumnIndex("v.rank").has_value());  // Case-insensitive.
-    EXPECT_EQ(*result->ColumnIndex("v.rank"), 1u);
-    EXPECT_EQ(*result->ColumnIndex("P.Title"), 0u);
-    EXPECT_FALSE(result->ColumnIndex("missing").has_value());
-    EXPECT_EQ(result->ValueAt(1, 0), "b");
-    EXPECT_EQ(result->ValueAt(2, 1), "C");
-  }
+TEST(QueryResultTest, AccessorsReadRows) {
+  QueryResult result;
+  result.columns = {"P.Title", "V.Rank"};
+  result.rows = {{"a", "A"}, {"b", "B"}, {"c", "C"}};
+  EXPECT_EQ(result.num_rows(), 3u);
+  ASSERT_TRUE(result.ColumnIndex("v.rank").has_value());  // Case-insensitive.
+  EXPECT_EQ(*result.ColumnIndex("v.rank"), 1u);
+  EXPECT_EQ(*result.ColumnIndex("P.Title"), 0u);
+  EXPECT_FALSE(result.ColumnIndex("missing").has_value());
+  EXPECT_EQ(result.ValueAt(1, 0), "b");
+  EXPECT_EQ(result.ValueAt(2, 1), "C");
 
   QueryResult empty;
-  EXPECT_EQ(empty.num_rows(), 0u);
-  empty.layout = ResultLayout::kColumnMajor;
   EXPECT_EQ(empty.num_rows(), 0u);
 }
 
 // ---- End-to-end equivalence sweep ---------------------------------------
 
-// Canonical row-major answer regardless of the result layout the engine
-// produced, so sweeps compare row- and column-major runs directly.
-std::vector<std::vector<std::string>> CanonicalRows(const QueryResult& result) {
-  if (result.layout == ResultLayout::kRowMajor) return result.rows;
-  std::vector<std::vector<std::string>> rows(result.num_rows());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    rows[r].reserve(result.columns.size());
-    for (std::size_t c = 0; c < result.columns.size(); ++c) {
-      rows[r].emplace_back(result.ValueAt(r, c));
-    }
-  }
-  return rows;
-}
-
 std::vector<std::vector<std::string>> RunSql(
     const std::vector<TablePtr>& tables, const std::string& sql,
-    std::size_t batch_size, std::size_t num_threads, ResultLayout layout) {
+    std::size_t batch_size, std::size_t num_threads) {
   EngineOptions options;
   options.batch_size = batch_size;
   options.num_threads = num_threads;
-  options.result_layout = layout;
   QueryEngine engine(options);
   for (const TablePtr& table : tables) {
     EXPECT_TRUE(engine.RegisterTable(table).ok());
@@ -344,8 +348,7 @@ std::vector<std::vector<std::string>> RunSql(
   auto result = engine.Execute(sql);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return {};
-  EXPECT_EQ(result->layout, layout);
-  return CanonicalRows(*result);
+  return result->rows;
 }
 
 class ColumnarSweepTest : public ::testing::Test {
@@ -379,41 +382,30 @@ datagen::GeneratedDataset* ColumnarSweepTest::oagv_ = nullptr;
 constexpr std::size_t kThreads[] = {1, 4};
 constexpr std::size_t kBatchSizes[] = {1, 7, 1024};
 
-TEST_F(ColumnarSweepTest, ScanAnswersAreIdenticalAcrossMatrixAndLayouts) {
+TEST_F(ColumnarSweepTest, ScanAnswersAreIdenticalAcrossMatrix) {
   const std::string sql = "SELECT * FROM dsd WHERE MOD(id, 100) < 30";
-  const auto reference =
-      RunSql({dsd_->table}, sql, 1024, 1, ResultLayout::kRowMajor);
+  const auto reference = RunSql({dsd_->table}, sql, 1024, 1);
   ASSERT_FALSE(reference.empty());
   for (std::size_t num_threads : kThreads) {
     for (std::size_t batch_size : kBatchSizes) {
-      for (ResultLayout layout :
-           {ResultLayout::kRowMajor, ResultLayout::kColumnMajor}) {
-        EXPECT_EQ(RunSql({dsd_->table}, sql, batch_size, num_threads, layout),
-                  reference)
-            << "threads=" << num_threads << " batch=" << batch_size
-            << " layout=" << static_cast<int>(layout);
-      }
+      EXPECT_EQ(RunSql({dsd_->table}, sql, batch_size, num_threads), reference)
+          << "threads=" << num_threads << " batch=" << batch_size;
     }
   }
 }
 
-TEST_F(ColumnarSweepTest, JoinAnswersAreIdenticalAcrossMatrixAndLayouts) {
+TEST_F(ColumnarSweepTest, JoinAnswersAreIdenticalAcrossMatrix) {
   const std::string sql =
       "SELECT oagp.title, oagv.rank FROM oagp "
       "INNER JOIN oagv ON oagp.venue = oagv.title";
-  const auto reference = RunSql({oagp_->table, oagv_->table}, sql, 1024, 1,
-                                ResultLayout::kRowMajor);
+  const auto reference = RunSql({oagp_->table, oagv_->table}, sql, 1024, 1);
   ASSERT_FALSE(reference.empty());
   for (std::size_t num_threads : kThreads) {
     for (std::size_t batch_size : kBatchSizes) {
-      for (ResultLayout layout :
-           {ResultLayout::kRowMajor, ResultLayout::kColumnMajor}) {
-        EXPECT_EQ(RunSql({oagp_->table, oagv_->table}, sql, batch_size,
-                         num_threads, layout),
-                  reference)
-            << "threads=" << num_threads << " batch=" << batch_size
-            << " layout=" << static_cast<int>(layout);
-      }
+      EXPECT_EQ(RunSql({oagp_->table, oagv_->table}, sql, batch_size,
+                       num_threads),
+                reference)
+          << "threads=" << num_threads << " batch=" << batch_size;
     }
   }
 }
@@ -421,22 +413,14 @@ TEST_F(ColumnarSweepTest, JoinAnswersAreIdenticalAcrossMatrixAndLayouts) {
 TEST_F(ColumnarSweepTest, DedupAnswersAreIdenticalAcrossMatrix) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10";
-  const auto reference =
-      RunSql({dsd_->table}, sql, 1024, 1, ResultLayout::kRowMajor);
+  const auto reference = RunSql({dsd_->table}, sql, 1024, 1);
   ASSERT_FALSE(reference.empty());
   for (std::size_t num_threads : kThreads) {
     for (std::size_t batch_size : kBatchSizes) {
-      EXPECT_EQ(RunSql({dsd_->table}, sql, batch_size, num_threads,
-                       ResultLayout::kRowMajor),
-                reference)
+      EXPECT_EQ(RunSql({dsd_->table}, sql, batch_size, num_threads), reference)
           << "threads=" << num_threads << " batch=" << batch_size;
     }
   }
-  // The column-major layout is a transposition of the same answer.
-  EXPECT_EQ(RunSql({dsd_->table}, sql, 7, 4, ResultLayout::kColumnMajor),
-            reference);
-  EXPECT_EQ(RunSql({dsd_->table}, sql, 1024, 1, ResultLayout::kColumnMajor),
-            reference);
 }
 
 }  // namespace

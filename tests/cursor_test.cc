@@ -52,7 +52,7 @@ Rows DrainCursor(QueryCursor* cursor) {
     EXPECT_TRUE(has.ok()) << has.status().ToString();
     if (!has.ok() || !*has) break;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      rows.push_back(batch.row(i).values);
+      rows.push_back(batch.TakeValues(i));
     }
   }
   cursor->Close();

@@ -22,29 +22,25 @@ TEST(RowBatchTest, AppendAndSelection) {
   RowBatch batch(4);
   EXPECT_EQ(batch.capacity(), 4u);
   EXPECT_TRUE(batch.empty());
-  for (int i = 0; i < 4; ++i) {
-    Row* row = batch.AppendRow();
-    row->values = {std::to_string(i)};
-    row->entity_id = static_cast<EntityId>(i);
-  }
+  for (int i = 0; i < 4; ++i) *batch.AppendRow() = {std::to_string(i)};
   EXPECT_TRUE(batch.full());
   ASSERT_EQ(batch.size(), 4u);
 
   // Keep rows 1 and 3 (a filter compacting the selection).
   std::size_t out = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch.row(i).entity_id % 2 == 1) batch.Keep(out++, i);
+    if (i % 2 == 1) batch.Keep(out++, i);
   }
   batch.TruncateSelection(out);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch.row(0).values[0], "1");
-  EXPECT_EQ(batch.row(1).values[0], "3");
+  EXPECT_EQ(batch.value(0, 0), "1");
+  EXPECT_EQ(batch.value(1, 0), "3");
 }
 
 TEST(RowBatchTest, ClearReusesRowStorage) {
   RowBatch batch(2);
-  Row* first = batch.AppendRow();
-  first->values = {"abcdefghij"};
+  std::vector<std::string>* first = batch.AppendRow();
+  *first = {"abcdefghij"};
   batch.Clear();
   EXPECT_TRUE(batch.empty());
   // The same slot (and its string storage) comes back after Clear.
@@ -92,7 +88,7 @@ TEST(FilterBatchTest, MatchesPerRowEvalBool) {
   for (ExprPtr& predicate : predicates) {
     ASSERT_TRUE(predicate->Bind(columns).ok()) << predicate->ToString();
     RowBatch batch(rows.size());
-    for (const auto& values : rows) batch.AppendRow()->values = values;
+    for (const auto& values : rows) *batch.AppendRow() = values;
     std::vector<std::string> expected;
     for (const auto& values : rows) {
       if (predicate->EvalBool(values)) expected.push_back(values[0]);
@@ -100,7 +96,7 @@ TEST(FilterBatchTest, MatchesPerRowEvalBool) {
     predicate->FilterBatch(&batch);
     ASSERT_EQ(batch.size(), expected.size()) << predicate->ToString();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(batch.row(i).values[0], expected[i]) << predicate->ToString();
+      EXPECT_EQ(batch.value(i, 0), expected[i]) << predicate->ToString();
     }
   }
 }

@@ -33,6 +33,88 @@ MatchingConfig TestMatching() {
   return config;
 }
 
+// One output row of an operator: its values, and for reference rows the
+// group key and the base entity (kInvalidEntityId for join rows).
+struct DrainedRow {
+  std::vector<std::string> values;
+  EntityId entity_id = kInvalidEntityId;
+  std::uint64_t group_key = 0;
+};
+
+// Opens, drains and closes `op`, reading every value of every row.
+Result<std::vector<DrainedRow>> CollectRows(PhysicalOperator* op) {
+  QUERYER_RETURN_NOT_OK(op->Open());
+  std::vector<DrainedRow> rows;
+  RowBatch batch;
+  while (true) {
+    QUERYER_ASSIGN_OR_RETURN(bool has, op->Next(&batch));
+    if (!has) break;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      DrainedRow row;
+      row.entity_id = batch.entity_id(i);
+      if (batch.reference_mode()) row.group_key = batch.group_key(i);
+      row.values = batch.TakeValues(i);
+      rows.push_back(std::move(row));
+    }
+  }
+  op->Close();
+  return rows;
+}
+
+// Emits fixed (entity, group key) references into one table: a resolved
+// input whose duplicate groups the test chooses.
+class FixedReferencesOp final : public PhysicalOperator {
+ public:
+  FixedReferencesOp(TablePtr table, const std::string& alias,
+                    std::vector<std::pair<EntityId, std::uint64_t>> rows)
+      : table_(std::move(table)),
+        lineage_({table_.get()}),
+        rows_(std::move(rows)) {
+    for (const std::string& name : table_->schema().names()) {
+      output_columns_.push_back(alias + "." + name);
+    }
+  }
+
+  Status OpenImpl() override {
+    position_ = 0;
+    return Status::OK();
+  }
+  Result<bool> NextImpl(RowBatch* batch) override {
+    batch->Clear();
+    if (position_ == rows_.size()) return false;
+    batch->BeginReference(lineage_);
+    while (position_ < rows_.size() && !batch->full()) {
+      batch->AppendReference(rows_[position_].first, rows_[position_].second);
+      ++position_;
+    }
+    return true;
+  }
+  void CloseImpl() override {}
+
+ private:
+  TablePtr table_;
+  Lineage lineage_;
+  std::vector<std::pair<EntityId, std::uint64_t>> rows_;
+  std::size_t position_ = 0;
+};
+
+TablePtr MakeTable(const std::string& name,
+                   const std::vector<std::string>& columns,
+                   const std::vector<std::vector<std::string>>& rows) {
+  TableBuilder builder(name, Schema(columns));
+  for (const auto& row : rows) EXPECT_TRUE(builder.AddRow(row).ok());
+  return builder.Build();
+}
+
+// Binds the two join keys a.k and b.k against their inputs.
+void BindKeys(const PhysicalOperator& left, const PhysicalOperator& right,
+              ExprPtr* left_key, ExprPtr* right_key) {
+  *left_key = Expr::Column("a", "k");
+  *right_key = Expr::Column("b", "k");
+  ASSERT_TRUE((*left_key)->Bind(left.output_columns()).ok());
+  ASSERT_TRUE((*right_key)->Bind(right.output_columns()).ok());
+}
+
 class ExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -67,7 +149,7 @@ class ExecTest : public ::testing::Test {
 TEST_F(ExecTest, TableScanEmitsAllRowsWithEntityIds) {
   OperatorPtr scan = ScanP();
   EXPECT_EQ(scan->output_columns()[1], "p.title");
-  auto rows = DrainOperator(scan.get());
+  auto rows = CollectRows(scan.get());
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 8u);
   EXPECT_EQ((*rows)[3].entity_id, 3u);
@@ -78,11 +160,11 @@ TEST_F(ExecTest, FilterSelectsMatchingRows) {
   OperatorPtr scan = ScanP();
   ExprPtr pred = EdbtPredicate(scan->output_columns());
   FilterOp filter(std::move(scan), std::move(pred));
-  auto rows = DrainOperator(&filter);
+  auto rows = CollectRows(&filter);
   ASSERT_TRUE(rows.ok());
   // P1, P6, P8 carry venue EDBT.
   std::set<EntityId> ids;
-  for (const Row& row : *rows) ids.insert(row.entity_id);
+  for (const DrainedRow& row : *rows) ids.insert(row.entity_id);
   EXPECT_EQ(ids, (std::set<EntityId>{0, 5, 7}));
 }
 
@@ -94,7 +176,7 @@ TEST_F(ExecTest, ProjectEvaluatesItems) {
   exprs.push_back(std::move(title));
   ProjectOp project(std::move(scan), std::move(exprs), {"title"});
   EXPECT_EQ(project.output_columns(), (std::vector<std::string>{"title"}));
-  auto rows = DrainOperator(&project);
+  auto rows = CollectRows(&project);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ((*rows)[0].values,
             (std::vector<std::string>{"Collective Entity Resolution"}));
@@ -109,7 +191,7 @@ TEST_F(ExecTest, HashJoinMatchesCaseInsensitively) {
   ASSERT_TRUE(rk->Bind(right->output_columns()).ok());
   HashJoinOp join(std::move(left), std::move(right), std::move(lk),
                   std::move(rk));
-  auto rows = DrainOperator(&join);
+  auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
   // Paper Sec. 2: plain SQL retrieves [P1-V4], [P6-V4], [P8-V4]; plus
   // P2-V1 and P7-V1 (full venue name matches V1's title), P3-V3
@@ -117,7 +199,7 @@ TEST_F(ExecTest, HashJoinMatchesCaseInsensitively) {
   // ("Sigmod" = "SIGMOD").
   EXPECT_EQ(rows->size(), 7u);
   std::set<std::pair<std::string, std::string>> pairs;
-  for (const Row& row : *rows) pairs.insert({row.values[0], row.values[5]});
+  for (const DrainedRow& row : *rows) pairs.insert({row.values[0], row.values[5]});
   EXPECT_TRUE(pairs.count({"P1", "V4"}) > 0);
   EXPECT_TRUE(pairs.count({"P6", "V4"}) > 0);
   EXPECT_TRUE(pairs.count({"P8", "V4"}) > 0);
@@ -130,18 +212,18 @@ TEST_F(ExecTest, DeduplicateExtendsSelectionWithDuplicates) {
   OperatorPtr filter =
       std::make_unique<FilterOp>(std::move(scan), std::move(pred));
   DeduplicateOp dedup(std::move(filter), p_runtime_, &stats_);
-  auto rows = DrainOperator(&dedup);
+  auto rows = CollectRows(&dedup);
   ASSERT_TRUE(rows.ok());
   // QE = {P1, P6, P8}; duplicates P2 and P7 must be recovered.
   std::set<EntityId> ids;
-  for (const Row& row : *rows) ids.insert(row.entity_id);
+  for (const DrainedRow& row : *rows) ids.insert(row.entity_id);
   EXPECT_EQ(ids, (std::set<EntityId>{0, 1, 5, 6, 7}));
   EXPECT_GT(stats_.comparisons_executed, 0u);
   EXPECT_EQ(stats_.query_entities, 3u);
 
   // Group keys tie duplicates together.
   std::uint64_t g1 = 0, g2 = 0, g6 = 0;
-  for (const Row& row : *rows) {
+  for (const DrainedRow& row : *rows) {
     if (row.entity_id == 0) g1 = row.group_key;
     if (row.entity_id == 1) g2 = row.group_key;
     if (row.entity_id == 5) g6 = row.group_key;
@@ -157,14 +239,15 @@ TEST_F(ExecTest, DeduplicateUsesLinkIndexOnRepeat) {
     OperatorPtr filter =
         std::make_unique<FilterOp>(std::move(scan), std::move(pred));
     DeduplicateOp dedup(std::move(filter), p_runtime_, &stats_);
-    ASSERT_TRUE(DrainOperator(&dedup).ok());
+    ASSERT_TRUE(CollectRows(&dedup).ok());
   }
   // Second round: all three query entities served from the LI.
   EXPECT_EQ(stats_.entities_already_resolved, 3u);
 }
 
 TEST_F(ExecTest, DeduplicateRejectsCompositeRows) {
-  // Feed join output (no entity ids) into Deduplicate: must error.
+  // Feed projected join output (owned rows, no entity ids) into
+  // Deduplicate: must error.
   OperatorPtr left = ScanP();
   OperatorPtr right = ScanV();
   ExprPtr lk = Expr::Column("p", "venue");
@@ -199,10 +282,10 @@ TEST_F(ExecTest, GroupFilterKeepsWholeGroups) {
       std::make_unique<DeduplicateOp>(std::move(scan), p_runtime_, &stats_);
   ExprPtr pred = EdbtPredicate(dedup->output_columns());
   GroupFilterOp group_filter(std::move(dedup), std::move(pred));
-  auto rows = DrainOperator(&group_filter);
+  auto rows = CollectRows(&group_filter);
   ASSERT_TRUE(rows.ok());
   std::set<EntityId> ids;
-  for (const Row& row : *rows) ids.insert(row.entity_id);
+  for (const DrainedRow& row : *rows) ids.insert(row.entity_id);
   // Whole-table dedup + group filter on venue=EDBT: clusters of P1 and P6.
   EXPECT_EQ(ids, (std::set<EntityId>{0, 1, 5, 6, 7}));
 }
@@ -223,19 +306,19 @@ TEST_F(ExecTest, DedupJoinDirtyRightMatchesPaperExample) {
   ASSERT_TRUE(rk->Bind(venues->output_columns()).ok());
   DedupJoinOp join(std::move(dedup), std::move(venues), std::move(lk),
                    std::move(rk), DirtySide::kRight, v_runtime_, &stats_);
-  auto rows = DrainOperator(&join);
+  auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
 
   // Expected joined groups: (P1-cluster, V4-cluster) and (P6-cluster,
   // V4-cluster): each left cluster has 2/3 members, right cluster {V1,V4}.
   // Group keys partition the rows into exactly two groups.
   std::set<std::uint64_t> groups;
-  for (const Row& row : *rows) groups.insert(row.group_key);
+  for (const DrainedRow& row : *rows) groups.insert(row.group_key);
   EXPECT_EQ(groups.size(), 2u);
   // P1 cluster (2 rows) x {V1,V4} (2) + P6 cluster (3) x 2 = 10 rows.
   EXPECT_EQ(rows->size(), 10u);
   // Every emitted right side is V1 or V4.
-  for (const Row& row : *rows) {
+  for (const DrainedRow& row : *rows) {
     EXPECT_TRUE(row.values[5] == "V1" || row.values[5] == "V4")
         << row.values[5];
   }
@@ -249,13 +332,13 @@ TEST_F(ExecTest, GroupEntitiesFusesVariants) {
   OperatorPtr dedup =
       std::make_unique<DeduplicateOp>(std::move(filter), p_runtime_, &stats_);
   GroupEntitiesOp group(std::move(dedup), &stats_);
-  auto rows = DrainOperator(&group);
+  auto rows = CollectRows(&group);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);  // Two hyper-entities.
 
   // Find the P1/P2 hyper-entity and check the fused title (paper Table 3).
   bool found = false;
-  for (const Row& row : *rows) {
+  for (const DrainedRow& row : *rows) {
     if (row.values[1].find("Collective Entity Resolution") != std::string::npos) {
       found = true;
       EXPECT_EQ(row.values[1], "Collective Entity Resolution | Collective E.R.");
@@ -278,13 +361,13 @@ TEST_F(ExecTest, DedupJoinCleanVariantJoinsResolvedSides) {
   ASSERT_TRUE(rk->Bind(right->output_columns()).ok());
   DedupJoinOp join(std::move(left), std::move(right), std::move(lk),
                    std::move(rk), DirtySide::kNone, nullptr, &stats_);
-  auto rows = DrainOperator(&join);
+  auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
   EXPECT_GT(rows->size(), 0u);
   // Every joined group pairs one P cluster with one V cluster: group keys
   // partition rows, and within a group all left ids share a cluster.
   std::map<std::uint64_t, std::set<std::string>> group_left_ids;
-  for (const Row& row : *rows) {
+  for (const DrainedRow& row : *rows) {
     group_left_ids[row.group_key].insert(row.values[0]);
   }
   for (const auto& [key, ids] : group_left_ids) {
@@ -300,7 +383,7 @@ TEST_F(ExecTest, EmptySelectionYieldsEmptyResult) {
   OperatorPtr filter =
       std::make_unique<FilterOp>(std::move(scan), std::move(pred));
   DeduplicateOp dedup(std::move(filter), p_runtime_, &stats_);
-  auto rows = DrainOperator(&dedup);
+  auto rows = CollectRows(&dedup);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -315,7 +398,7 @@ TEST_F(ExecTest, HashJoinEmptyBuildSide) {
   ASSERT_TRUE(rk->Bind(right->output_columns()).ok());
   HashJoinOp join(std::move(left), std::move(right), std::move(lk),
                   std::move(rk));
-  auto rows = DrainOperator(&join);
+  auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -325,9 +408,9 @@ TEST_F(ExecTest, GroupEntitiesIdenticalValuesOnce) {
   OperatorPtr dedup =
       std::make_unique<DeduplicateOp>(std::move(scan), p_runtime_, &stats_);
   GroupEntitiesOp group(std::move(dedup), &stats_);
-  auto rows = DrainOperator(&group);
+  auto rows = CollectRows(&group);
   ASSERT_TRUE(rows.ok());
-  for (const Row& row : *rows) {
+  for (const DrainedRow& row : *rows) {
     // P6/P8 share venue "EDBT": it must appear once, with P7's variant.
     if (row.values[0].find("P6") != std::string::npos) {
       EXPECT_EQ(row.values[3],
@@ -335,6 +418,112 @@ TEST_F(ExecTest, GroupEntitiesIdenticalValuesOnce) {
                 "Technology");
     }
   }
+}
+
+TEST_F(ExecTest, DedupJoinRejectsJoinedDirtyInput) {
+  // The dirty side of a Deduplicate-Join must be rows of one base table; a
+  // join row references two.
+  OperatorPtr left =
+      std::make_unique<DeduplicateOp>(ScanP(), p_runtime_, &stats_);
+  ExprPtr inner_lk = Expr::Column("v", "title");
+  ExprPtr inner_rk = Expr::Column("p", "venue");
+  OperatorPtr venues = ScanV();
+  OperatorPtr pubs = ScanP();
+  ASSERT_TRUE(inner_lk->Bind(venues->output_columns()).ok());
+  ASSERT_TRUE(inner_rk->Bind(pubs->output_columns()).ok());
+  OperatorPtr dirty = std::make_unique<HashJoinOp>(
+      std::move(venues), std::move(pubs), std::move(inner_lk),
+      std::move(inner_rk));
+  ExprPtr lk = Expr::Column("p", "venue");
+  ExprPtr rk = Expr::Column("v", "title");
+  ASSERT_TRUE(lk->Bind(left->output_columns()).ok());
+  ASSERT_TRUE(rk->Bind(dirty->output_columns()).ok());
+  DedupJoinOp join(std::move(left), std::move(dirty), std::move(lk),
+                   std::move(rk), DirtySide::kRight, v_runtime_, &stats_);
+  Status st = join.Open();
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_NE(st.ToString().find("must come from a base table"),
+            std::string::npos)
+      << st.ToString();
+}
+
+// Group-Entities fuses by exact string equality: case and numeric form are
+// distinct variants.
+TEST(ExecSemanticsTest, GroupEntitiesKeepsCaseAndNumericFormVariants) {
+  TablePtr t = MakeTable("t", {"venue", "year"},
+                         {{"EDBT", "7"}, {"edbt", "7.0"}, {"EDBT", "7"},
+                          {"", "7.0"}, {"VLDB", "8"}});
+  ExecStats stats;
+  GroupEntitiesOp group(
+      std::make_unique<FixedReferencesOp>(
+          t, "t",
+          std::vector<std::pair<EntityId, std::uint64_t>>{
+              {0, 9}, {4, 2}, {1, 9}, {2, 9}, {3, 9}}),
+      &stats);
+  auto rows = CollectRows(&group);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0].values,
+            (std::vector<std::string>{"EDBT | edbt", "7 | 7.0"}));
+  EXPECT_EQ((*rows)[1].values, (std::vector<std::string>{"VLDB", "8"}));
+}
+
+// Joins compare keys through CanonicalJoinKey: numeric forms and case
+// fold together, empty keys never join.
+class JoinKeySemanticsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    a_ = MakeTable("a", {"id", "k"},
+                   {{"a0", "7"}, {"a1", "EDBT"}, {"a2", ""}, {"a3", "8"}});
+    b_ = MakeTable("b", {"id", "k"},
+                   {{"b0", "7.0"}, {"b1", "edbt"}, {"b2", " 7"}, {"b3", ""},
+                    {"b4", "7.5"}});
+  }
+
+  std::set<std::pair<std::string, std::string>> Pairs(
+      const std::vector<DrainedRow>& rows) {
+    std::set<std::pair<std::string, std::string>> pairs;
+    for (const DrainedRow& row : rows) {
+      pairs.insert({row.values[0], row.values[2]});
+    }
+    return pairs;
+  }
+
+  const std::set<std::pair<std::string, std::string>> expected_ = {
+      {"a0", "b0"}, {"a0", "b2"}, {"a1", "b1"}};
+  TablePtr a_;
+  TablePtr b_;
+};
+
+TEST_F(JoinKeySemanticsTest, HashJoinFoldsNumericFormAndCase) {
+  OperatorPtr left = std::make_unique<TableScanOp>(a_, "a");
+  OperatorPtr right = std::make_unique<TableScanOp>(b_, "b");
+  ExprPtr lk, rk;
+  BindKeys(*left, *right, &lk, &rk);
+  HashJoinOp join(std::move(left), std::move(right), std::move(lk),
+                  std::move(rk));
+  auto rows = CollectRows(&join);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 3u);
+  EXPECT_EQ(Pairs(*rows), expected_);
+}
+
+TEST_F(JoinKeySemanticsTest, DedupJoinFoldsNumericFormAndCase) {
+  // Each row its own group on both (resolved) sides.
+  std::vector<std::pair<EntityId, std::uint64_t>> a_rows, b_rows;
+  for (EntityId e = 0; e < a_->num_rows(); ++e) a_rows.push_back({e, e});
+  for (EntityId e = 0; e < b_->num_rows(); ++e) b_rows.push_back({e, e});
+  OperatorPtr left = std::make_unique<FixedReferencesOp>(a_, "a", a_rows);
+  OperatorPtr right = std::make_unique<FixedReferencesOp>(b_, "b", b_rows);
+  ExprPtr lk, rk;
+  BindKeys(*left, *right, &lk, &rk);
+  ExecStats stats;
+  DedupJoinOp join(std::move(left), std::move(right), std::move(lk),
+                   std::move(rk), DirtySide::kNone, nullptr, &stats);
+  auto rows = CollectRows(&join);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 3u);
+  EXPECT_EQ(Pairs(*rows), expected_);
 }
 
 }  // namespace

@@ -286,24 +286,55 @@ TEST(SelectivityMonotonicityTest, ComparisonsGrowWithSelectivity) {
       << " " << comparisons[3];
 }
 
+// The only shape where a Deduplicate-Join's left input is itself a join
+// output (join rows referencing two tables): its answer must equal BA's in
+// every ER mode, and be byte-identical across batch sizes and threads.
 TEST(MultiJoinTest, ThreeTableDedupQueryRuns) {
   auto oao = datagen::MakeOrganisations(150, 141);
   auto pool = datagen::OrganisationNamePool(oao);
   auto ppl = datagen::MakePeople(400, pool, 142);
   auto oap = datagen::MakeProjects(300, pool, 143);
+  const std::vector<TablePtr> tables = {oao.table, ppl.table, oap.table};
+  const std::string sql =
+      "SELECT DEDUP ppl.surname, oao.name, oap.title FROM ppl "
+      "INNER JOIN oao ON ppl.org = oao.name "
+      "INNER JOIN oap ON oap.org = oao.name "
+      "WHERE MOD(ppl.id, 40) < 1";
 
-  for (ExecutionMode mode : {ExecutionMode::kBatch, ExecutionMode::kNaive2,
+  QueryEngine batch = MakeEngine(tables, ExecutionMode::kBatch);
+  auto expected = batch.Execute(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_GT(expected->rows.size(), 0u);
+  const auto expected_rows = Canonical(expected->rows);
+
+  for (ExecutionMode mode : {ExecutionMode::kNaive, ExecutionMode::kNaive2,
                              ExecutionMode::kAdvanced}) {
-    QueryEngine engine =
-        MakeEngine({oao.table, ppl.table, oap.table}, mode);
-    auto result = engine.Execute(
-        "SELECT DEDUP ppl.surname, oao.name, oap.title FROM ppl "
-        "INNER JOIN oao ON ppl.org = oao.name "
-        "INNER JOIN oap ON oap.org = oao.name "
-        "WHERE MOD(ppl.id, 40) < 1");
-    ASSERT_TRUE(result.ok())
-        << ExecutionModeToString(mode) << ": " << result.status().ToString();
-    EXPECT_GT(result->rows.size(), 0u) << ExecutionModeToString(mode);
+    std::vector<std::vector<std::string>> reference;
+    for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+      for (std::size_t batch_size :
+           {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
+        EngineOptions options = TestOptions();
+        options.num_threads = num_threads;
+        options.batch_size = batch_size;
+        QueryEngine engine(options);
+        for (const TablePtr& table : tables) {
+          ASSERT_TRUE(engine.RegisterTable(table).ok());
+        }
+        engine.set_mode(mode);
+        auto result = engine.Execute(sql);
+        ASSERT_TRUE(result.ok()) << ExecutionModeToString(mode) << ": "
+                                 << result.status().ToString();
+        if (reference.empty()) {
+          reference = result->rows;
+          EXPECT_EQ(Canonical(reference), expected_rows)
+              << ExecutionModeToString(mode);
+        } else {
+          EXPECT_EQ(result->rows, reference)
+              << ExecutionModeToString(mode) << " threads=" << num_threads
+              << " batch=" << batch_size;
+        }
+      }
+    }
   }
 }
 

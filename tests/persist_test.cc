@@ -7,9 +7,9 @@
 // magic, future version — always a clean Status, never a crash), the
 // checked-in golden file that pins format compatibility, and the engine-
 // level warm-start contract: a snapshot-loaded engine answers bit-
-// identically to the CSV-loaded one across the threads x batch x layout
-// matrix, and serves a previously-resolved DEDUP query with ZERO
-// comparisons executed.
+// identically to the CSV-loaded one across the threads x batch matrix,
+// and serves a previously-resolved DEDUP query with ZERO comparisons
+// executed.
 
 #include <gtest/gtest.h>
 
@@ -498,17 +498,6 @@ TEST(GoldenSnapshotTest, WriterOutputIsByteStableForTheGoldenTable) {
 
 // ---- Engine-level warm start ---------------------------------------------
 
-Rows CanonicalRows(const QueryResult& result) {
-  if (result.layout == ResultLayout::kRowMajor) return result.rows;
-  Rows rows(result.num_rows());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < result.columns.size(); ++c) {
-      rows[r].emplace_back(result.ValueAt(r, c));
-    }
-  }
-  return rows;
-}
-
 class WarmStartTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -530,7 +519,7 @@ class WarmStartTest : public ::testing::Test {
 datagen::GeneratedDataset* WarmStartTest::dsd_ = nullptr;
 std::string* WarmStartTest::csv_path_ = nullptr;
 
-TEST_F(WarmStartTest, SnapshotLoadedEngineMatchesCsvAcrossMatrixAndLayouts) {
+TEST_F(WarmStartTest, SnapshotLoadedEngineMatchesCsvAcrossMatrix) {
   const std::string data_dir = ScratchDir("warm_matrix");
   // Cold engine: CSV-loaded, snapshots saved (indices warmed first).
   {
@@ -552,26 +541,21 @@ TEST_F(WarmStartTest, SnapshotLoadedEngineMatchesCsvAcrossMatrixAndLayouts) {
       ASSERT_TRUE(csv_engine.RegisterCsvFile(*csv_path_, "dsd").ok());
       auto result = csv_engine.Execute(sql);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      reference = CanonicalRows(*result);
+      reference = result->rows;
       ASSERT_FALSE(reference.empty());
     }
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t batch_size : {std::size_t{1}, std::size_t{1024}}) {
-        for (ResultLayout layout :
-             {ResultLayout::kRowMajor, ResultLayout::kColumnMajor}) {
-          EngineOptions options;
-          options.data_dir = data_dir;
-          options.num_threads = num_threads;
-          options.batch_size = batch_size;
-          options.result_layout = layout;
-          QueryEngine warm(options);
-          ASSERT_TRUE(warm.RegisterTableFromSnapshots("dsd").ok());
-          auto result = warm.Execute(sql);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          EXPECT_EQ(CanonicalRows(*result), reference)
-              << sql << " threads=" << num_threads << " batch=" << batch_size
-              << " layout=" << static_cast<int>(layout);
-        }
+        EngineOptions options;
+        options.data_dir = data_dir;
+        options.num_threads = num_threads;
+        options.batch_size = batch_size;
+        QueryEngine warm(options);
+        ASSERT_TRUE(warm.RegisterTableFromSnapshots("dsd").ok());
+        auto result = warm.Execute(sql);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->rows, reference)
+            << sql << " threads=" << num_threads << " batch=" << batch_size;
       }
     }
   }
@@ -590,7 +574,7 @@ TEST_F(WarmStartTest, WarmRestartServesResolvedDedupWithZeroComparisons) {
     ASSERT_TRUE(cold.RegisterCsvFile(*csv_path_, "dsd").ok());
     auto result = cold.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    first_answer = CanonicalRows(*result);
+    first_answer = result->rows;
     cold_comparisons = result->stats.comparisons_executed;
     EXPECT_GT(cold_comparisons, 0u);  // The cold run really resolved.
     ASSERT_TRUE(cold.SaveSnapshots().ok());
@@ -603,7 +587,7 @@ TEST_F(WarmStartTest, WarmRestartServesResolvedDedupWithZeroComparisons) {
     ASSERT_TRUE(warm.RegisterTableFromSnapshots("dsd").ok());
     auto result = warm.Execute(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(CanonicalRows(*result), first_answer);
+    EXPECT_EQ(result->rows, first_answer);
     // The acceptance pin: previously-resolved entities are served from the
     // recovered Link Index without a single comparison.
     EXPECT_EQ(result->stats.comparisons_executed, 0u);
@@ -629,7 +613,7 @@ TEST_F(WarmStartTest, DurableEngineAnswersMatchEphemeralEngine) {
   ASSERT_TRUE(durable.RegisterTable(dsd_->table).ok());
   auto actual = durable.Execute(sql);
   ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(CanonicalRows(*actual), CanonicalRows(*expected));
+  EXPECT_EQ(actual->rows, expected->rows);
   EXPECT_EQ(actual->stats.comparisons_executed,
             expected->stats.comparisons_executed);
 }

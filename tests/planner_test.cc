@@ -184,22 +184,6 @@ TEST_F(PlannerTest, EstimateBranchComparisons) {
   EXPECT_FALSE(planner.EstimateBranchComparisons(*stmt, "zzz").ok());
 }
 
-TEST(StatisticsTest, DuplicationFactorDetectsDuplicates) {
-  auto ppl = datagen::MakePeople(1500, {}, 77);
-  TableRuntime runtime(ppl.table, TestBlocking(), MetaBlockingConfig::All(),
-                       TestMatching());
-  StatisticsCache stats;
-  double df = stats.DuplicationFactor(&runtime);
-  // PPL has ~40% duplicates: resolving a sample should grow it noticeably.
-  EXPECT_GT(df, 1.15);
-  EXPECT_LT(df, 2.5);
-  // Cached value identical.
-  EXPECT_DOUBLE_EQ(stats.DuplicationFactor(&runtime), df);
-  // Sampling must not pollute the runtime's own link index.
-  EXPECT_EQ(runtime.link_index().num_resolved(), 0u);
-  EXPECT_EQ(runtime.link_index().num_links(), 0u);
-}
-
 TEST(StatisticsTest, JoinFractionMeasuresOverlap) {
   auto oao = datagen::MakeOrganisations(300, 5);
   std::vector<std::string> pool = datagen::OrganisationNamePool(oao);
@@ -231,20 +215,6 @@ TEST(StatisticsTest, EstimationTracksSelectivity) {
   ASSERT_TRUE(wide_cost.ok());
   EXPECT_LT(*narrow_cost, *wide_cost);
   EXPECT_GT(*wide_cost, 0.0);
-}
-
-TEST(StatisticsTest, ModPredicateFallsBackToExactScan) {
-  auto dsd = datagen::MakeDsdLike(1000, 17);
-  TableRuntime runtime(dsd.table, TestBlocking(), MetaBlockingConfig::All(),
-                       TestMatching());
-  StatisticsCache stats;
-  ExprPtr pred = Expr::Compare(
-      CompareOp::kLt, Expr::Mod(Expr::Column("dsd", "id"), Expr::NumberLiteral(10)),
-      Expr::NumberLiteral(1));
-  auto size = stats.EstimateSelectionSize(&runtime, pred.get(), "dsd");
-  ASSERT_TRUE(size.ok());
-  EXPECT_NEAR(static_cast<double>(*size),
-              static_cast<double>(dsd.table->num_rows()) / 10.0, 2.0);
 }
 
 TEST(StatisticsTest, ResolvedEntitiesCostNothing) {
