@@ -1,4 +1,5 @@
-// Ablation of the cost-based planner's design choices (DESIGN.md Sec. 4):
+// Ablation of the cost-based planner's design choices (docs/BENCHMARKS.md,
+// "Paper-reproduction harnesses"):
 //
 //  (a) Estimation fidelity: the estimator stops at the Block-Filtering
 //      approximation (paper Sec. 7.2.1); how close is the estimate to the

@@ -82,9 +82,11 @@ int main(int argc, char** argv) {
         [&]() {
           queryer::TableBuilder builder("copy", table.schema());
           builder.Reserve(rows);
-          std::vector<std::string> row;
+          std::vector<std::string> row(width);
           for (queryer::EntityId e = 0; e < rows; ++e) {
-            table.MaterializeRow(e, &row);
+            for (std::size_t a = 0; a < width; ++a) {
+              row[a].assign(table.ValueAt(e, a));
+            }
             if (!builder.AddRow(row).ok()) return std::size_t{0};
           }
           return builder.Build()->num_rows();

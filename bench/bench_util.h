@@ -1,10 +1,11 @@
 // Shared infrastructure for the experiment harnesses (one binary per paper
-// table/figure — see DESIGN.md Sec. 4).
+// table/figure — see docs/BENCHMARKS.md for which binary reproduces what).
 //
-// Dataset sizes default to 1/20 of the paper's (DESIGN.md Sec. 5) and scale
-// with the QUERYER_BENCH_SCALE environment variable (e.g. 20 reproduces the
-// paper's absolute sizes, 0.2 gives a smoke run). Every harness prints
-// aligned human-readable tables plus machine-readable "CSV," lines.
+// Dataset sizes default to 1/20 of the paper's, so that a default run of a
+// harness takes minutes on one machine instead of hours, and scale with the
+// QUERYER_BENCH_SCALE environment variable (e.g. 20 reproduces the paper's
+// absolute sizes, 0.2 gives a smoke run). Every harness prints aligned
+// human-readable tables plus machine-readable "CSV," lines.
 
 #ifndef QUERYER_BENCH_BENCH_UTIL_H_
 #define QUERYER_BENCH_BENCH_UTIL_H_

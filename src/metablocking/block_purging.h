@@ -3,7 +3,7 @@
 // publications table), cleaning the processing list of blocks that induce
 // mostly unnecessary comparisons.
 //
-// Deviation from the paper noted in DESIGN.md: the cited smoothing-factor
+// Deviation from the paper: the cited smoothing-factor
 // scan over cumulative cardinality levels is only well behaved on very
 // large Zipfian block collections (on the query-restricted collections the
 // Deduplicate operator produces it degenerates to purging everything above

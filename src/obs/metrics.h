@@ -85,11 +85,6 @@ class LatencyHistogram {
   void Observe(double seconds);
 
   std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  /// Total of all observations, in seconds (nanosecond resolution).
-  double SumSeconds() const {
-    return static_cast<double>(sum_nanos_.load(std::memory_order_relaxed)) *
-           1e-9;
-  }
 
   HistogramSnapshot Snapshot() const;
 

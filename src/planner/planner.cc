@@ -295,35 +295,36 @@ Result<PlanPtr> Planner::BuildDedupPlan(const SelectStatement& stmt,
       // AES: deduplicate the branch with the lower estimated comparison
       // count first; the other side resolves inside the Deduplicate-Join.
       //
-      // Safety note (deviation from the paper's Fig. 8, see DESIGN.md): the
-      // dirty branch always enters the join *unfiltered*, and its predicate
-      // is applied duplicate-group-aware above the join. Filtering the
-      // dirty side before the join-discard (as Alg. 1 applied to Fig. 8
-      // implies) loses selected entities whose own join value is corrupted
-      // and only joins through a not-yet-discovered duplicate.
+      // Deviation from the paper's Fig. 8 (docs/ARCHITECTURE.md, step 3):
+      // the dirty branch always enters the join *unfiltered*, and its
+      // predicate is applied duplicate-group-aware above the join.
+      // Filtering the dirty side before the join-discard (as Alg. 1 applied
+      // to Fig. 8 implies) loses selected entities whose own join value is
+      // corrupted and only joins through a not-yet-discovered duplicate.
       if (plan == nullptr) {
         const BoundTable& first = tables[0];
         // Total cost of each plan: cleaning one branch under its predicate,
         // plus resolving the (unfiltered) dirty side restricted by the
         // join — approximated as join-fraction x full-table cost.
-        QUERYER_ASSIGN_OR_RETURN(
-            double first_sel_cost,
-            statistics_->EstimateComparisons(first.runtime.get(),
-                                             first.predicate.get(),
-                                             first.ref.alias));
-        QUERYER_ASSIGN_OR_RETURN(
-            double second_sel_cost,
-            statistics_->EstimateComparisons(table.runtime.get(),
-                                             table.predicate.get(),
-                                             table.ref.alias));
-        QUERYER_ASSIGN_OR_RETURN(
-            double first_full_cost,
-            statistics_->EstimateComparisons(first.runtime.get(), nullptr,
-                                             first.ref.alias));
-        QUERYER_ASSIGN_OR_RETURN(
-            double second_full_cost,
-            statistics_->EstimateComparisons(table.runtime.get(), nullptr,
-                                             table.ref.alias));
+        auto estimate = [&](const BoundTable& branch, const Expr* predicate) {
+          return statistics_->EstimateComparisons(branch.runtime.get(),
+                                                  predicate, branch.ref.alias);
+        };
+        QUERYER_ASSIGN_OR_RETURN(double first_full_cost,
+                                 estimate(first, nullptr));
+        QUERYER_ASSIGN_OR_RETURN(double second_full_cost,
+                                 estimate(table, nullptr));
+        // A branch without a predicate selects its whole table.
+        double first_sel_cost = first_full_cost;
+        double second_sel_cost = second_full_cost;
+        if (first.predicate != nullptr) {
+          QUERYER_ASSIGN_OR_RETURN(first_sel_cost,
+                                   estimate(first, first.predicate.get()));
+        }
+        if (table.predicate != nullptr) {
+          QUERYER_ASSIGN_OR_RETURN(second_sel_cost,
+                                   estimate(table, table.predicate.get()));
+        }
         double jf_second_to_first = statistics_->JoinFraction(
             table.runtime.get(), right_key->column(), first.runtime.get(),
             left_key->column());
@@ -375,21 +376,6 @@ Result<PlanPtr> Planner::BuildDedupPlan(const SelectStatement& stmt,
   // Group duplicate entities into single records before the final Project.
   plan = LogicalPlan::GroupEntities(std::move(plan));
   return ApplyProjection(stmt, std::move(plan));
-}
-
-Result<double> Planner::EstimateBranchComparisons(const SelectStatement& stmt,
-                                                  const std::string& alias) {
-  QUERYER_ASSIGN_OR_RETURN(std::vector<BoundTable> tables, BindTables(stmt));
-  std::vector<JoinSpec> joins;
-  QUERYER_RETURN_NOT_OK(SplitWhere(stmt.where.get(), &tables, &joins));
-  for (const BoundTable& table : tables) {
-    if (EqualsIgnoreCase(table.ref.alias, alias)) {
-      return statistics_->EstimateComparisons(table.runtime.get(),
-                                              table.predicate.get(),
-                                              table.ref.alias);
-    }
-  }
-  return Status::PlanError("unknown alias: " + alias);
 }
 
 }  // namespace queryer

@@ -41,11 +41,6 @@ class Planner {
   /// Builds the logical plan for a parsed statement.
   Result<PlanPtr> BuildPlan(const SelectStatement& stmt, PlannerMode mode);
 
-  /// Exposed for benches/tests: the estimated comparisons of deduplicating
-  /// `alias`'s selection under the statement's WHERE clause.
-  Result<double> EstimateBranchComparisons(const SelectStatement& stmt,
-                                           const std::string& alias);
-
  private:
   struct BoundTable {
     TableRef ref;

@@ -1,13 +1,14 @@
 // ER-specific statistics of the cost-based planner (paper Sec. 7.2.1):
 //
 //  * Estimated comparisons of deduplicating a query selection: the selected
-//    set is approximated from the WHERE clause's literal blocking keys
-//    (falling back to an exact in-memory filter scan for predicates without
-//    usable literals, e.g. MOD ranges), its blocks are gathered from the
-//    ITBI, Block Purging and Block Filtering are *approximated* on those
-//    blocks, and the comparison formula is summed. Estimation deliberately
-//    stops before Edge Pruning, whose output is too expensive to predict —
-//    the paper terminates at the BF step for the same reason.
+//    entities come from an exact scan with the compiled WHERE predicate
+//    (`TablePredicate`, as a fused scan evaluates it), or are the whole
+//    table without one. Their blocks are gathered from the ITBI, Block
+//    Purging and Block Filtering are *approximated* on those blocks in one
+//    pass over per-block counters, and the comparison formula is summed.
+//    Estimation deliberately stops before Edge Pruning, whose output is too
+//    expensive to predict — the paper terminates at the BF step for the
+//    same reason.
 //
 //  * Join fraction: percentage of one table's entities whose join key
 //    appears in another table, used to predict DR sizes after a join.
@@ -46,9 +47,6 @@ class StatisticsCache {
                       TableRuntime* right, const std::string& right_column);
 
  private:
-  Result<std::vector<EntityId>> EstimateSelectedEntities(
-      TableRuntime* runtime, const Expr* predicate, const std::string& alias);
-
   std::mutex mutex_;
   std::map<std::string, double> join_fraction_;
 };

@@ -2,17 +2,6 @@
 
 namespace queryer {
 
-void Table::MaterializeRow(EntityId id,
-                           std::vector<std::string>* out) const {
-  const std::size_t n = columns_.size();
-  out->resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    const Column& c = columns_[a];
-    const std::string_view v = c.dictionary.value(c.codes[id]);
-    (*out)[a].assign(v.data(), v.size());
-  }
-}
-
 void TableBuilder::Reserve(std::size_t rows) {
   for (auto& column : table_->columns_) column.owned_codes.reserve(rows);
 }

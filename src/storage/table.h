@@ -105,10 +105,6 @@ class Table {
     return columns_[attribute].dictionary;
   }
 
-  /// Copies one full row into `out` (resized to the table arity), reusing
-  /// the strings' existing capacity — the late-materialization boundary.
-  void MaterializeRow(EntityId id, std::vector<std::string>* out) const;
-
  private:
   friend class TableBuilder;
   // The persist tier builds tables whose code vectors and dictionary

@@ -115,6 +115,15 @@ TEST(ParseNumberTest, ViewsWithAndWithoutTermination) {
 
 // ---- TableBuilder / Table -----------------------------------------------
 
+// One full row of `table`, copied out cell by cell.
+std::vector<std::string> RowValues(const Table& table, EntityId id) {
+  std::vector<std::string> row;
+  for (std::size_t a = 0; a < table.num_attributes(); ++a) {
+    row.emplace_back(table.ValueAt(id, a));
+  }
+  return row;
+}
+
 TablePtr MakeSmallTable() {
   TableBuilder builder("t", Schema({"id", "venue", "year"}));
   builder.Reserve(6);
@@ -153,10 +162,9 @@ TEST(TableTest, ColumnViewSharesCodesForEqualBytes) {
   EXPECT_EQ(table->CodeAt(2, 1), venue.code(2));
   EXPECT_EQ(table->ValueAt(3, 1), "edbt");
 
-  // MaterializeRow reproduces the full row.
-  std::vector<std::string> row;
-  table->MaterializeRow(3, &row);
-  EXPECT_EQ(row, (std::vector<std::string>{"3", "edbt", "2025"}));
+  // The cells of a row reproduce the row as added.
+  EXPECT_EQ(RowValues(*table, 3),
+            (std::vector<std::string>{"3", "edbt", "2025"}));
 }
 
 // ---- TablePredicate ------------------------------------------------------
@@ -176,9 +184,8 @@ ExprPtr BindToTable(ExprPtr expr, const Table& table) {
 // whichever internal path (truth table, hoisted column, full row) is taken.
 void ExpectMatchesPerRow(const TablePredicate& predicate, const Expr& expr,
                          const Table& table) {
-  std::vector<std::string> row;
   for (EntityId e = 0; e < table.num_rows(); ++e) {
-    table.MaterializeRow(e, &row);
+    const std::vector<std::string> row = RowValues(table, e);
     EXPECT_EQ(predicate.Matches(e), expr.EvalBoolFast(RowRef(row)))
         << "row " << e;
   }
@@ -191,9 +198,7 @@ TEST(TablePredicateTest, TruthTableForRepetitiveColumn) {
   TableBuilder builder("t", Schema({"id", "venue", "year"}));
   for (int copy = 0; copy < 3; ++copy) {
     for (EntityId e = 0; e < table->num_rows(); ++e) {
-      std::vector<std::string> row;
-      table->MaterializeRow(e, &row);
-      EXPECT_TRUE(builder.AddRow(row).ok());
+      EXPECT_TRUE(builder.AddRow(RowValues(*table, e)).ok());
     }
   }
   TablePtr big = builder.Build();

@@ -7,6 +7,7 @@
 #include "datagen/people.h"
 #include "datagen/scholarly.h"
 #include "engine/query_engine.h"
+#include "funnel_oracle.h"
 #include "planner/planner.h"
 #include "planner/statistics.h"
 
@@ -97,8 +98,8 @@ TEST_F(PlannerTest, SpjAdvancedCleansSelectiveBranchFirst) {
   auto plan = Plan(kSpjDedup, PlannerMode::kAdvanced);
   ASSERT_TRUE(plan.ok());
   std::string text = (*plan)->ToString();
-  // Under the safe dirty-side semantics (DESIGN.md §3a.2) the dirty branch
-  // is unfiltered, so the filtered P selection is the cheap side to clean:
+  // The dirty branch enters the join unfiltered (its own join value may be
+  // corrupted), so the filtered P selection is the cheap side to clean:
   // Dirty-Right, with P's predicate pushed into the Deduplicate branch.
   EXPECT_NE(text.find("DedupJoin[Dirty-Right]"), std::string::npos) << text;
   // Exactly one Deduplicate operator in the tree (the dirty side resolves
@@ -168,12 +169,14 @@ TEST_F(PlannerTest, UnknownTableOrColumnFails) {
                    .ok());
 }
 
-TEST_F(PlannerTest, EstimateBranchComparisons) {
-  auto stmt = ParseSelect(kSpjDedup);
-  ASSERT_TRUE(stmt.ok());
-  Planner planner(&catalog_, &runtimes_, &statistics_);
-  auto p_cost = planner.EstimateBranchComparisons(*stmt, "p");
-  auto v_cost = planner.EstimateBranchComparisons(*stmt, "v");
+TEST_F(PlannerTest, EstimateComparisonsPerBranch) {
+  // kSpjDedup's two branches: P under its predicate, V whole.
+  ExprPtr edbt = Expr::Compare(CompareOp::kEq, Expr::Column("p", "venue"),
+                               Expr::Literal("EDBT"));
+  auto p_cost =
+      statistics_.EstimateComparisons(runtimes_["p"].get(), edbt.get(), "p");
+  auto v_cost =
+      statistics_.EstimateComparisons(runtimes_["v"].get(), nullptr, "v");
   ASSERT_TRUE(p_cost.ok());
   ASSERT_TRUE(v_cost.ok());
   EXPECT_GT(*p_cost, 0.0);
@@ -181,7 +184,10 @@ TEST_F(PlannerTest, EstimateBranchComparisons) {
   // Paper Table 5 ordering: the whole (small) V table costs less than the
   // EDBT selection of P, whose entities sit in the example's big blocks.
   EXPECT_LT(*v_cost, *p_cost);
-  EXPECT_FALSE(planner.EstimateBranchComparisons(*stmt, "zzz").ok());
+  // A predicate that does not address the branch's alias fails to bind.
+  EXPECT_FALSE(
+      statistics_.EstimateComparisons(runtimes_["p"].get(), edbt.get(), "zzz")
+          .ok());
 }
 
 TEST(StatisticsTest, JoinFractionMeasuresOverlap) {
@@ -227,6 +233,90 @@ TEST(StatisticsTest, ResolvedEntitiesCostNothing) {
   EXPECT_GT(before, 0.0);
   runtime.link_index().MarkResolvedBatch(all);
   EXPECT_DOUBLE_EQ(ApproximateComparisonsAfterMetaBlocking(&runtime, all), 0.0);
+}
+
+// The entities `predicate` selects, by per-row evaluation over the table.
+std::vector<EntityId> SelectedByRow(const Table& table, Expr* predicate,
+                                    const std::string& alias) {
+  std::vector<std::string> columns;
+  for (const std::string& name : table.schema().names()) {
+    columns.push_back(alias + "." + name);
+  }
+  EXPECT_TRUE(predicate->Bind(columns).ok());
+  std::vector<EntityId> selected;
+  for (EntityId e = 0; e < table.num_rows(); ++e) {
+    if (predicate->EvalBoolFast(RowRef(table, e))) selected.push_back(e);
+  }
+  return selected;
+}
+
+TEST(StatisticsTest, LikeEstimatesFollowTheExactSelection) {
+  // A LIKE pattern's wildcard-adjacent fragment is no blocking key: the
+  // estimate must come from the entities the pattern actually selects.
+  auto dsd = datagen::MakeDsdLike(4000, 13);
+  TableRuntime runtime(dsd.table, TestBlocking(), MetaBlockingConfig::All(),
+                       TestMatching());
+  StatisticsCache stats;
+  for (const char* pattern : {"EDB%", "%DB%"}) {
+    ExprPtr like = Expr::Like(Expr::Column("dsd", "venue"), pattern);
+    std::vector<EntityId> selected =
+        SelectedByRow(*dsd.table, like->Clone().get(), "dsd");
+    ASSERT_FALSE(selected.empty()) << pattern;
+    auto estimate = stats.EstimateComparisons(&runtime, like.get(), "dsd");
+    ASSERT_TRUE(estimate.ok()) << pattern;
+    EXPECT_EQ(*estimate,
+              ApproximateComparisonsAfterMetaBlocking(&runtime, selected))
+        << pattern;
+    EXPECT_GT(*estimate, 0.0) << pattern;
+  }
+}
+
+TEST(StatisticsTest, DenseFunnelEqualsHashContainerOracle) {
+  auto oao = datagen::MakeOrganisations(600, 5);
+  std::vector<std::string> pool = datagen::OrganisationNamePool(oao);
+  auto ppl = datagen::MakePeople(1500, pool, 6);
+  auto dsd = datagen::MakeDsdLike(1500, 7);
+  auto universe = datagen::MakeVenueUniverse(200, 8);
+  auto oagp = datagen::MakeOagpLike(1500, universe, 9);
+  const std::pair<const char*, MetaBlockingConfig> configs[] = {
+      {"All", MetaBlockingConfig::All()},
+      {"BpBf", MetaBlockingConfig::BpBf()},
+      {"BpEp", MetaBlockingConfig::BpEp()},
+      {"None", MetaBlockingConfig::None()}};
+  for (const auto* data : {&oao, &ppl, &dsd, &oagp}) {
+    const std::string& name = data->table->name();
+    const std::size_t rows = data->table->num_rows();
+    std::vector<EntityId> all, slice, half;
+    for (EntityId e = 0; e < rows; ++e) {
+      all.push_back(e);
+      if (e % 200 == 3) slice.push_back(e);
+      if (e % 2 == 0) half.push_back(e);
+    }
+    const std::vector<std::vector<EntityId>> selections = {
+        {}, {static_cast<EntityId>(rows / 2)}, slice, half, all};
+    TableRuntime runtime(data->table, TestBlocking(),
+                         MetaBlockingConfig::All(), TestMatching());
+    // Cold Link Index, then every third entity resolved.
+    for (bool partly_resolved : {false, true}) {
+      if (partly_resolved) {
+        std::vector<EntityId> resolved;
+        for (EntityId e = 0; e < rows; e += 3) resolved.push_back(e);
+        runtime.link_index().MarkResolvedBatch(resolved);
+      }
+      for (const auto& [config_name, config] : configs) {
+        runtime.set_meta_blocking_config(config);
+        for (std::size_t s = 0; s < selections.size(); ++s) {
+          EXPECT_EQ(ApproximateComparisonsAfterMetaBlocking(&runtime,
+                                                            selections[s]),
+                    OracleApproximateComparisons(&runtime, selections[s]))
+              << name << " " << config_name << " selection " << s
+              << (partly_resolved ? " partly resolved" : " cold");
+        }
+      }
+    }
+    EXPECT_GT(ApproximateComparisonsAfterMetaBlocking(&runtime, all), 0.0)
+        << name;
+  }
 }
 
 }  // namespace
