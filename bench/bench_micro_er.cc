@@ -1,5 +1,5 @@
-// Micro-benchmarks over the ER kernels (google-benchmark): similarity
-// functions, tokenization, blocking-index construction, meta-blocking
+// Micro-benchmarks over the ER kernels (google-benchmark): Jaro-Winkler,
+// tokenization, blocking-index construction, meta-blocking
 // stages and the Link Index.
 
 #include <benchmark/benchmark.h>
@@ -30,20 +30,6 @@ void BM_JaroWinkler(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinkler);
 
-void BM_Levenshtein(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LevenshteinDistance(kLeft, kRight));
-  }
-}
-BENCHMARK(BM_Levenshtein);
-
-void BM_JaccardTokens(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(JaccardTokenSimilarity(kLeft, kRight));
-  }
-}
-BENCHMARK(BM_JaccardTokens);
-
 void BM_TokenizeAlnum(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(TokenizeAlnum(kLeft));
@@ -52,9 +38,8 @@ void BM_TokenizeAlnum(benchmark::State& state) {
 BENCHMARK(BM_TokenizeAlnum);
 
 void BM_ValueSimilarity(benchmark::State& state) {
-  MatchingConfig config;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ValueSimilarity(kLeft, kRight, config));
+    benchmark::DoNotOptimize(ValueSimilarity(kLeft, kRight));
   }
 }
 BENCHMARK(BM_ValueSimilarity);

@@ -139,14 +139,6 @@ std::shared_ptr<TableBlockIndex> TableBlockIndex::FromParts(
   return index;
 }
 
-std::int64_t TableBlockIndex::FindBlock(std::string_view key) const {
-  const auto it = std::lower_bound(
-      block_keys_.begin(), block_keys_.end(), key,
-      [](const std::string& a, std::string_view b) { return a < b; });
-  if (it == block_keys_.end() || *it != key) return -1;
-  return it - block_keys_.begin();
-}
-
 std::size_t TableBlockIndex::MemoryFootprint() const {
   std::size_t bytes = 0;
   for (const auto& key : block_keys_) bytes += key.size() + sizeof(std::string);

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "blocking/block.h"
@@ -57,7 +56,9 @@ class TableBlockIndex {
   /// Restores an index from previously-built parts (the persist tier's
   /// snapshot loader). The parts must describe an index Build() produced
   /// over the same table contents and options: `block_keys` strictly
-  /// ascending, which FindBlock's binary search relies on.
+  /// ascending, because block ids follow key order and Block-Join's output
+  /// order and Block Filtering's (size, block order) tie-break rest on
+  /// those ids.
   static std::shared_ptr<TableBlockIndex> FromParts(
       BlockingOptions options, std::vector<std::string> block_keys,
       std::vector<std::vector<EntityId>> block_entities,
@@ -69,10 +70,6 @@ class TableBlockIndex {
   std::size_t num_blocks() const { return block_keys_.size(); }
 
   std::size_t num_entities() const { return entity_blocks_.size(); }
-
-  /// Block id for a key, or -1 if the key indexes no (multi-entity) block.
-  /// A binary search over the key-ordered blocks.
-  std::int64_t FindBlock(std::string_view key) const;
 
   const std::string& block_key(std::size_t block_id) const {
     return block_keys_[block_id];

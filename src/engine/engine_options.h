@@ -45,9 +45,6 @@ struct EngineOptions {
   MetaBlockingConfig meta_blocking;
   MatchingConfig matching;
   ExecutionMode mode = ExecutionMode::kAdvanced;
-  /// When false, resolved links are forgotten before every DEDUP query —
-  /// the "Without LI" arm of the paper's Fig. 11.
-  bool use_link_index = true;
   /// When true, every ER operator appends its surviving comparisons to the
   /// result stats (for Pair Completeness measurement).
   bool collect_comparisons = false;

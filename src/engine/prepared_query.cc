@@ -14,12 +14,7 @@ PreparedQuery::PreparedQuery(
       sql_(std::move(sql)),
       statement_(std::move(statement)),
       plan_(std::move(plan)),
-      // Null plan = the without-LI arm, which must plan after the
-      // per-Open Link Index reset (see QueryEngine::Prepare).
-      plan_text_(plan_ != nullptr
-                     ? plan_->ToString()
-                     : "(planned at Open: the without-LI arm resets the "
-                       "Link Index before planning)"),
+      plan_text_(plan_->ToString()),
       options_(std::move(options)),
       involved_(std::move(involved)) {}
 

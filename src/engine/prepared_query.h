@@ -7,8 +7,8 @@
 //   ... drain *cursor ...
 //   auto again = (*prepared).Open();                  // Plan reused as-is.
 //
-// The execution mode and the engine options (batch size, deadline, Link
-// Index arm, ...) are captured at Prepare time: later setter calls on the
+// The execution mode and the engine options (batch size, deadline,
+// tracing, ...) are captured at Prepare time: later setter calls on the
 // engine do not retroactively change a prepared query. Each Open() lowers
 // the captured logical plan into a fresh physical tree (a new session with
 // its own admission slot, session id and ExecStats), so concurrent opens
@@ -43,11 +43,7 @@ class PreparedQuery {
 
   /// The SQL this query was prepared from.
   const std::string& sql() const { return sql_; }
-  /// The logical plan the captured mode chose, printable form. The
-  /// without-LI experiment arm is the one exception: it must plan after
-  /// the per-Open Link Index reset, so until the first Open this returns
-  /// a placeholder saying so (QueryResult::plan_text always reports the
-  /// plan that actually executed).
+  /// The logical plan the captured mode chose, printable form.
   const std::string& plan_text() const { return plan_text_; }
   /// True for SELECT DEDUP statements.
   bool dedup() const { return statement_.dedup; }
@@ -61,12 +57,9 @@ class PreparedQuery {
   /// Opens one streaming session over the prepared plan: acquires an
   /// admission slot (blocking while the engine is at
   /// max_concurrent_queries), runs the mode's per-query ER prologue
-  /// (Batch-Approach cleaning / without-LI reset), lowers the plan and
-  /// opens the operator tree. The returned cursor owns the slot and the
-  /// session state until it is closed or destroyed. One exception to
-  /// plan capture: the without-LI arm resets the Link Index at every
-  /// Open, so it re-plans under the post-reset statistics (reset, then
-  /// plan — the order the facade always had).
+  /// (Batch-Approach cleaning), lowers the plan and opens the operator
+  /// tree. The returned cursor owns the slot and the session state until
+  /// it is closed or destroyed.
   Result<CursorPtr> Open() const;
 
  private:

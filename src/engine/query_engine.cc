@@ -30,10 +30,6 @@ std::string_view ExecutionModeToString(ExecutionMode mode) {
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(std::move(options)),
       statistics_(std::make_unique<StatisticsCache>()) {
-  // The without-LI experiment arm resets the Link Index per query; letting
-  // sessions overlap would race those resets against in-flight
-  // resolutions, so that configuration is forcibly serialized.
-  if (!options_.use_link_index) options_.max_concurrent_queries = 1;
   admission_ = std::make_unique<Semaphore>(options_.max_concurrent_queries);
   // Sessions blocked on admission show up in the process-wide wait
   // histogram (bench_concurrent_queries reports its quantiles).
@@ -228,14 +224,8 @@ Result<PreparedQuery> QueryEngine::Prepare(const std::string& sql) {
   // runtimes' lazy indices are call_once-guarded), so Prepare takes no
   // admission slot — preparing while one of your own cursors holds the
   // engine's only slot must not deadlock.
-  //
-  // The without-LI arm is the one statement shape Prepare cannot plan: it
-  // resets the Link Index at every Open and must plan AFTER that reset
-  // (the cost estimates consult the index's resolved state), so planning
-  // here would only produce a plan Open discards. Defer it entirely —
-  // plan_text() says so until the first Open.
   PlanPtr plan;
-  if (!(stmt.dedup && !options_.use_link_index)) {
+  {
     TraceSpan plan_span(options_.trace_sink.get(), "plan", "session");
     Planner planner(&catalog_, &runtimes_, statistics_.get());
     QUERYER_ASSIGN_OR_RETURN(
@@ -276,45 +266,18 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   auto stats = std::make_unique<ExecStats>();
   stats->collect_comparisons = options.collect_comparisons;
 
-  if (prepared.statement_.dedup) {
-    if (options.mode == ExecutionMode::kBatch) {
-      // BA: clean every involved table in full before answering. The
-      // per-runtime mutex serializes concurrent sessions racing the same
-      // cold table: the first cleans, the rest wait here and reuse.
-      for (const auto& runtime : prepared.involved_) {
-        std::lock_guard<std::mutex> batch_lock(runtime->batch_er_mutex());
-        if (runtime->link_index().num_resolved() <
-            runtime->table().num_rows()) {
-          QUERYER_RETURN_NOT_OK(
-              BatchDeduplicate(runtime.get(), stats.get()).status());
-        }
-      }
-    } else if (!options.use_link_index) {
-      // "Without LI": no reuse of links across queries. (An experiment
-      // arm; concurrent sessions would race each other's resets, so run
-      // this arm with max_concurrent_queries == 1.)
-      for (const auto& runtime : prepared.involved_) {
-        runtime->ResetLinkIndex();
+  if (prepared.statement_.dedup && options.mode == ExecutionMode::kBatch) {
+    // BA: clean every involved table in full before answering. The
+    // per-runtime mutex serializes concurrent sessions racing the same
+    // cold table: the first cleans, the rest wait here and reuse.
+    for (const auto& runtime : prepared.involved_) {
+      std::lock_guard<std::mutex> batch_lock(runtime->batch_er_mutex());
+      if (runtime->link_index().num_resolved() <
+          runtime->table().num_rows()) {
+        QUERYER_RETURN_NOT_OK(
+            BatchDeduplicate(runtime.get(), stats.get()).status());
       }
     }
-  }
-
-  // The without-LI arm just reset the Link Index this query plans
-  // against, so Prepare deferred planning to here: plan under the
-  // post-reset state, exactly the order the facade always had (reset,
-  // then plan). Normal prepared queries reuse the captured plan.
-  const LogicalPlan* plan = prepared.plan_.get();
-  PlanPtr deferred;
-  std::string plan_text = prepared.plan_text_;
-  if (plan == nullptr) {
-    TraceSpan plan_span(options.trace_sink.get(), "plan", "session");
-    Planner planner(&catalog_, &runtimes_, statistics_.get());
-    Result<PlanPtr> fresh = planner.BuildPlan(prepared.statement_,
-                                              PlannerModeFor(options.mode));
-    if (!fresh.ok()) return fresh.status();
-    deferred = fresh.MoveValueUnsafe();
-    plan = deferred.get();
-    plan_text = plan->ToString();
   }
 
   // The session-level cancellation flag: QueryCursor::Cancel raises it.
@@ -340,7 +303,7 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   Executor executor(&catalog_, &runtimes_, stats.get(), pool_.get(),
                     options.batch_size, profile.get(),
                     options.trace_sink, std::move(cancel_ctx));
-  Result<OperatorPtr> root = executor.Lower(*plan);
+  Result<OperatorPtr> root = executor.Lower(*prepared.plan_);
   if (!root.ok()) return root.status();
   // The tree is handed over UN-opened: the cursor opens it lazily at the
   // first Next. Open is where the materializing operators do their heavy
@@ -354,7 +317,7 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   CursorPtr cursor(new QueryCursor(
       admission_.get(), prepared.involved_, pool_, std::move(cancel),
       std::move(stats), std::move(profile), options.trace_sink,
-      root.MoveValueUnsafe(), std::move(plan_text), options.batch_size,
+      root.MoveValueUnsafe(), prepared.plan_text_, options.batch_size,
       executor.session_id(), options.default_query_deadline, opened_at));
   slot.Disarm();  // The cursor owns the slot now.
   return cursor;
@@ -415,10 +378,9 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
   if (prepared.explain() && !prepared.analyze()) {
     // Plain EXPLAIN: present the static plan, execute nothing (no
     // admission slot, no session, no ER work).
-    QUERYER_ASSIGN_OR_RETURN(std::string text, StaticPlanText(prepared));
     QueryResult result;
-    FillPlanTextResult(&result, text);
-    result.plan_text = text;
+    FillPlanTextResult(&result, prepared.plan_text());
+    result.plan_text = prepared.plan_text();
     result.stats.total_seconds = total.ElapsedSeconds();
     return result;
   }
@@ -427,9 +389,7 @@ Result<QueryResult> QueryEngine::Execute(const std::string& sql) {
 
   QueryResult result;
   result.columns = cursor->columns();
-  // From the cursor, not the PreparedQuery: the without-LI arm replans at
-  // Open, and the result must report the plan that actually executed.
-  result.plan_text = cursor->plan_text();
+  result.plan_text = prepared.plan_text();
 
   // Materialize from the cursor. EXPLAIN ANALYZE takes the same drain
   // loop — the full execution is the point — but discards the answer.
@@ -470,21 +430,7 @@ Result<std::string> QueryEngine::Explain(const std::string& sql) {
     cursor->Close();
     return cursor->AnnotatedPlan();
   }
-  return StaticPlanText(prepared);
-}
-
-Result<std::string> QueryEngine::StaticPlanText(
-    const PreparedQuery& prepared) {
-  if (prepared.plan_ != nullptr) return prepared.plan_text();
-  // The without-LI arm defers planning to Open (which resets the index
-  // first). Explain must stay side-effect free AND still show a plan, so
-  // it plans under the current index state — the plan this mode would
-  // execute right now, exactly Explain's pre-streaming contract.
-  Planner planner(&catalog_, &runtimes_, statistics_.get());
-  QUERYER_ASSIGN_OR_RETURN(
-      PlanPtr plan,
-      planner.BuildPlan(prepared.statement_, PlannerModeFor(options_.mode)));
-  return plan->ToString();
+  return prepared.plan_text();
 }
 
 }  // namespace queryer

@@ -140,9 +140,9 @@ class QueryEngine {
   const Catalog& catalog() const { return catalog_; }
   StatisticsCache& statistics() { return *statistics_; }
 
-  /// The options this engine was constructed with (post-normalization —
-  /// e.g. the without-LI arm forces max_concurrent_queries to 1). The
-  /// query server reads its tenant quota and admission settings here.
+  /// The options this engine was constructed with, as changed by the
+  /// setters below. The query server reads its tenant quota and admission
+  /// settings here.
   const EngineOptions& options() const { return options_; }
 
   /// Effective worker count (1 when running sequentially).
@@ -156,18 +156,7 @@ class QueryEngine {
   void set_mode(ExecutionMode mode) { options_.mode = mode; }
   /// Setters are registration-time only (no query may be in flight), and
   /// do not affect already-prepared queries (options are captured at
-  /// Prepare time). Disabling the Link Index serializes admission: that
-  /// arm resets the index per query, which cannot overlap other sessions.
-  void set_use_link_index(bool use) {
-    options_.use_link_index = use;
-    if (!use && options_.max_concurrent_queries != 1) {
-      options_.max_concurrent_queries = 1;
-      // Reset in place, never replace: an open cursor holds a pointer to
-      // this semaphore (calling a setter with a session in flight is
-      // forbidden anyway, but a stale pointer must not dangle).
-      admission_->Reset(1);
-    }
-  }
+  /// Prepare time).
   void set_collect_comparisons(bool collect) {
     options_.collect_comparisons = collect;
   }
@@ -192,8 +181,7 @@ class QueryEngine {
 
   /// The session factory behind PreparedQuery::Open / ExecuteStream:
   /// acquires an admission slot, runs the captured mode's ER prologue
-  /// (BA cleaning / without-LI reset), lowers the prepared plan and opens
-  /// the tree. On failure the slot is released before returning.
+  /// (BA cleaning), lowers the prepared plan and opens the tree. On failure the slot is released before returning.
   Result<CursorPtr> OpenPrepared(const PreparedQuery& prepared);
 
   /// Recovers/creates the durable Link Index files for a freshly built
@@ -204,11 +192,6 @@ class QueryEngine {
   /// `<data_dir>/<lowercased table name><suffix>`.
   std::string PersistPath(const std::string& table_name,
                           std::string_view suffix) const;
-
-  /// The static (pre-execution) plan text of a prepared statement. The
-  /// without-LI arm defers planning to Open; for it this plans under the
-  /// current index state without side effects, like Explain always did.
-  Result<std::string> StaticPlanText(const PreparedQuery& prepared);
 
   EngineOptions options_;
   // Handle on the process-wide shared pool (ThreadPool::Shared); also given

@@ -110,8 +110,9 @@ class TableRuntime {
   /// concurrent sessions: the first cleans, the rest wait and reuse.
   std::mutex& batch_er_mutex() { return batch_er_mutex_; }
 
-  /// Forgets all resolved links (used by the without-LI experiment arm and
-  /// to reset state between benchmark runs).
+  /// Forgets all resolved links: the without-LI arm of the paper's Fig. 11
+  /// (bench_fig11_link_index) calls it before each query, and benchmarks
+  /// call it to reset state between runs.
   void ResetLinkIndex() { link_index_.Reset(); }
 
  private:

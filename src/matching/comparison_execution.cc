@@ -108,7 +108,7 @@ Result<StagedComparisons> EvaluateComparisons(
           }
           ++result.executed;
           const auto& [a, b] = pending[i];
-          if (kernel.Similarity(a, b) >= config.threshold) {
+          if (kernel.Similarity(a, b) >= kMatchThreshold) {
             result.matched.emplace_back(a, b);
             overlay[root_a] = root_b;
           }

@@ -36,13 +36,12 @@ std::uint64_t CharMask(std::string_view token) {
   return mask;
 }
 
-// An upper bound on the Jaro(-Winkler) similarity of two tokens, from
-// their character sets: a character of one token that occurs nowhere in
-// the other can never be a match, so at most `m` characters match and the
+// An upper bound on the Jaro-Winkler similarity of two tokens, from their
+// character sets: a character of one token that occurs nowhere in the
+// other can never be a match, so at most `m` characters match and the
 // transposition term is at most 1.
 double JaroUpperBound(std::string_view a, std::string_view b,
-                      std::uint64_t mask_a, std::uint64_t mask_b,
-                      bool winkler) {
+                      std::uint64_t mask_a, std::uint64_t mask_b) {
   std::size_t a_only = 0;
   for (char c : a) a_only += (mask_b & CharBit(c)) == 0;
   std::size_t b_only = 0;
@@ -53,7 +52,6 @@ double JaroUpperBound(std::string_view a, std::string_view b,
   const double jaro = (m / static_cast<double>(a.size()) +
                        m / static_cast<double>(b.size()) + 1.0) /
                       3.0;
-  if (!winkler) return jaro;
   std::size_t prefix = 0;
   const std::size_t max_prefix =
       std::min<std::size_t>({4, a.size(), b.size()});
@@ -66,8 +64,7 @@ double JaroUpperBound(std::string_view a, std::string_view b,
 ComparisonKernel::ComparisonKernel(const Table& table, const Comparison* begin,
                                    const Comparison* end,
                                    const MatchingConfig& config,
-                                   const AttributeWeights* weights)
-    : config_(config) {
+                                   const AttributeWeights* weights) {
   for (std::size_t i = 0; i < table.num_attributes(); ++i) {
     if (std::find(config.excluded_attributes.begin(),
                   config.excluded_attributes.end(),
@@ -121,9 +118,8 @@ std::vector<std::string_view> ComparisonKernel::AssignSlots(
   return values;
 }
 
-ComparisonKernel::ComparisonKernel(const std::vector<std::string_view>& values,
-                                   const MatchingConfig& config)
-    : config_(config) {
+ComparisonKernel::ComparisonKernel(
+    const std::vector<std::string_view>& values) {
   BuildSlots(values);
   memo_.assign(std::size_t{1} << kMemoBits, 0);
 }
@@ -201,11 +197,10 @@ void ComparisonKernel::BuildSlots(
 }
 
 double ComparisonKernel::ValueSimilarity(std::string_view a,
-                                         std::string_view b,
-                                         const MatchingConfig& config) {
+                                         std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
-  ComparisonKernel kernel({a, b}, config);
+  ComparisonKernel kernel({a, b});
   return kernel.SlotSimilarity(0, 1);
 }
 
@@ -222,16 +217,10 @@ bool ComparisonKernel::TokensMatch(std::uint32_t x, std::uint32_t y) {
   if ((entry & ~kMatchBit) == key) return (entry & kMatchBit) != 0;
   // The bound only rejects pairs it puts clearly below the threshold: the
   // 1e-9 margin dwarfs the rounding of either computation.
-  const SimilarityFunction fn = config_.function;
-  const bool bounded = fn == SimilarityFunction::kJaro ||
-                       fn == SimilarityFunction::kJaroWinkler;
-  const double threshold = config_.token_match_threshold;
   const bool match =
-      (!bounded ||
-       JaroUpperBound(tx, ty, token_mask_[x], token_mask_[y],
-                      fn == SimilarityFunction::kJaroWinkler) >=
-           threshold - 1e-9) &&
-      ComputeSimilarity(fn, tx, ty) >= threshold;
+      JaroUpperBound(tx, ty, token_mask_[x], token_mask_[y]) >=
+          kTokenMatchThreshold - 1e-9 &&
+      JaroWinklerSimilarity(tx, ty) >= kTokenMatchThreshold;
   if (entry != 0) ++memo_evictions_;
   entry = key | (match ? kMatchBit : 0);
   return match;
@@ -334,7 +323,7 @@ double ComparisonKernel::Similarity(EntityId a, EntityId b) {
     aligned *= aligned_weight / (0.5 * total_weight);
   }
   // The aligned signal alone already decides a match: skip the cosine.
-  if (aligned >= config_.threshold) return aligned;
+  if (aligned >= kMatchThreshold) return aligned;
 
   // Signal 2: whole-profile token cosine (order- and attribute-agnostic).
   if (cosine_a_entity_ != ia) {
@@ -363,12 +352,9 @@ double ComparisonKernel::Similarity(EntityId a, EntityId b) {
       cosine = dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
     }
   }
-  // Rescale so `threshold` applies to both signals (see MatchingConfig).
-  const double cosine_scaled =
-      config_.cosine_threshold > 0
-          ? cosine * config_.threshold / config_.cosine_threshold
-          : cosine;
-  return std::max(aligned, cosine_scaled);
+  // Rescale so kMatchThreshold applies to both signals (see
+  // kCosineThreshold).
+  return std::max(aligned, cosine * kMatchThreshold / kCosineThreshold);
 }
 
 }  // namespace queryer

@@ -14,11 +14,11 @@
 //    match and the cosine sums therefore visit tokens in the same order as
 //    a string-based evaluation, and the doubles come out bit-identical.
 //  - Memoized fuzzy token matches. Whether two distinct tokens match under
-//    the configured kernel is a pure function of the (ordered) pair, so the
-//    result is cached in a bounded, direct-mapped memo: a collision evicts,
-//    which costs a recomputation but never changes an answer. On a miss
-//    under Jaro(-Winkler), an upper bound from the tokens' character sets
-//    rejects most pairs before the string kernel runs.
+//    Jaro-Winkler is a pure function of the (ordered) pair, so the result
+//    is cached in a bounded, direct-mapped memo: a collision evicts, which
+//    costs a recomputation but never changes an answer. On a miss, an upper
+//    bound from the tokens' character sets rejects most pairs before
+//    Jaro-Winkler runs.
 //  - Cosine vectors on demand. An entity's merged (token, max weight)
 //    vector is built when the cosine signal is needed, and the first
 //    entity's vector is reused while consecutive pairs share it (meta-
@@ -46,8 +46,8 @@ namespace queryer {
 class ComparisonKernel {
  public:
   /// Builds the kernel for the pairs in [begin, end) of `table`. `weights`
-  /// may be null (uniform attribute weights). `table` and `weights` are
-  /// read only here; `config` must outlive the kernel.
+  /// may be null (uniform attribute weights). `table`, `config` and
+  /// `weights` are read only here.
   ComparisonKernel(const Table& table, const Comparison* begin,
                    const Comparison* end, const MatchingConfig& config,
                    const AttributeWeights* weights);
@@ -57,16 +57,14 @@ class ComparisonKernel {
   double Similarity(EntityId a, EntityId b);
 
   /// Fuzzy token-set similarity of two raw values (ValueSimilarity).
-  static double ValueSimilarity(std::string_view a, std::string_view b,
-                                const MatchingConfig& config);
+  static double ValueSimilarity(std::string_view a, std::string_view b);
 
   /// Memo entries overwritten by a different token pair so far.
   std::size_t memo_evictions() const { return memo_evictions_; }
 
  private:
   // A value-only kernel over raw values (no table, no entities).
-  ComparisonKernel(const std::vector<std::string_view>& values,
-                   const MatchingConfig& config);
+  explicit ComparisonKernel(const std::vector<std::string_view>& values);
 
   // Fills entity_slots_ and returns the value of each slot.
   std::vector<std::string_view> AssignSlots(const Table& table);
@@ -85,8 +83,6 @@ class ComparisonKernel {
   // Merged (token, max weight) vector of one entity; returns its norm².
   double BuildCosineVector(std::size_t entity,
                            std::vector<std::pair<std::uint32_t, double>>* out);
-
-  const MatchingConfig& config_;
 
   // Included attributes: positions in the table and their weights.
   std::vector<std::uint32_t> attrs_;

@@ -8,9 +8,8 @@
 
 namespace queryer {
 
-double ValueSimilarity(std::string_view a, std::string_view b,
-                       const MatchingConfig& config) {
-  return ComparisonKernel::ValueSimilarity(a, b, config);
+double ValueSimilarity(std::string_view a, std::string_view b) {
+  return ComparisonKernel::ValueSimilarity(a, b);
 }
 
 AttributeWeights AttributeWeights::Compute(const Table& table) {
@@ -52,7 +51,7 @@ double ProfileSimilarity(const Table& table, EntityId a, EntityId b,
 bool ProfilesMatch(const Table& table, EntityId a, EntityId b,
                    const MatchingConfig& config,
                    const AttributeWeights* weights) {
-  return ProfileSimilarity(table, a, b, config, weights) >= config.threshold;
+  return ProfileSimilarity(table, a, b, config, weights) >= kMatchThreshold;
 }
 
 }  // namespace queryer

@@ -8,7 +8,7 @@
 //     entities have a value, of a fuzzy token-set Jaccard: two tokens count
 //     as shared when they are equal, when one is a single-letter
 //     abbreviation of the other ("e." ~ "entity", "j" ~ "jane"), or when
-//     their Jaro-Winkler similarity clears `token_match_threshold` (typos).
+//     their Jaro-Winkler similarity clears kTokenMatchThreshold (typos).
 //     Values that parse to finite numbers compare by equality (string
 //     distance between numbers is meaningless).
 //
@@ -26,8 +26,9 @@
 // produce false matches whenever the weak attribute agrees.
 //
 // The profile score is the max of the two signals; a pair matches when the
-// score reaches `threshold`. The entity-identifier attribute (the paper's
-// e_id) is excluded: it names the row, it does not describe the entity.
+// score reaches kMatchThreshold. The entity-identifier attribute (the
+// paper's e_id) is excluded: it names the row, it does not describe the
+// entity.
 
 #ifndef QUERYER_MATCHING_PROFILE_MATCHER_H_
 #define QUERYER_MATCHING_PROFILE_MATCHER_H_
@@ -40,20 +41,20 @@
 
 namespace queryer {
 
+/// Profile similarity at or above this value declares a match.
+inline constexpr double kMatchThreshold = 0.65;
+/// The cosine signal needs a stricter bar than the aligned signal: two
+/// short values sharing most tokens ("geneva institute" / "turin
+/// institute") reach 2/3 cosine without being the same entity. The cosine
+/// is folded into the profile score scaled by
+/// kMatchThreshold / kCosineThreshold, so one kMatchThreshold check covers
+/// both.
+inline constexpr double kCosineThreshold = 0.72;
+/// Tokens whose Jaro-Winkler similarity is >= this are the same token.
+inline constexpr double kTokenMatchThreshold = 0.88;
+
 /// \brief Resolution-function configuration.
 struct MatchingConfig {
-  /// Token-level string kernel for fuzzy token matching.
-  SimilarityFunction function = SimilarityFunction::kJaroWinkler;
-  /// Profile similarity at or above this value declares a match.
-  double threshold = 0.65;
-  /// The cosine signal needs a stricter bar than the aligned signal: two
-  /// short values sharing most tokens ("geneva institute" / "turin
-  /// institute") reach 2/3 cosine without being the same entity. The
-  /// cosine is folded into the profile score scaled by
-  /// threshold / cosine_threshold, so one `threshold` check covers both.
-  double cosine_threshold = 0.72;
-  /// Tokens with kernel similarity >= this are considered the same token.
-  double token_match_threshold = 0.88;
   /// Attribute positions excluded from matching (the e_id column; set
   /// automatically by the engine for the column named "id").
   std::vector<std::size_t> excluded_attributes;
@@ -92,8 +93,7 @@ class AttributeWeights {
 /// string_views straight out of a table's column dictionaries. Only values
 /// that parse to finite numbers compare numerically; "nan" or "inf" go
 /// through token matching like any other word.
-double ValueSimilarity(std::string_view a, std::string_view b,
-                       const MatchingConfig& config);
+double ValueSimilarity(std::string_view a, std::string_view b);
 
 /// \brief Schema-agnostic profile similarity of two entities of one table
 /// (see above). Reads attribute values as string_views out of the columnar
@@ -108,7 +108,7 @@ double ProfileSimilarity(const Table& table, EntityId a, EntityId b,
                          const MatchingConfig& config,
                          const AttributeWeights* weights = nullptr);
 
-/// \brief Convenience predicate: ProfileSimilarity >= config.threshold.
+/// \brief Convenience predicate: ProfileSimilarity >= kMatchThreshold.
 bool ProfilesMatch(const Table& table, EntityId a, EntityId b,
                    const MatchingConfig& config,
                    const AttributeWeights* weights = nullptr);

@@ -1,10 +1,7 @@
 #include "matching/similarity.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-
-#include "common/string_util.h"
+#include <vector>
 
 namespace queryer {
 
@@ -59,93 +56,6 @@ double JaroWinklerSimilarity(std::string_view a, std::string_view b,
   const std::size_t max_prefix = std::min<std::size_t>({4, a.size(), b.size()});
   while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
   return jaro + static_cast<double>(prefix) * prefix_scale * (1.0 - jaro);
-}
-
-std::size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.empty()) return b.size();
-  if (b.empty()) return a.size();
-  std::vector<std::size_t> prev(b.size() + 1);
-  std::vector<std::size_t> cur(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    cur[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t substitution =
-          prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, substitution});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
-
-double NormalizedLevenshtein(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const double max_len = static_cast<double>(std::max(a.size(), b.size()));
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) / max_len;
-}
-
-double JaccardTokenSimilarity(std::string_view a, std::string_view b) {
-  std::vector<std::string> ta = TokenizeAlnum(a, 1);
-  std::vector<std::string> tb = TokenizeAlnum(b, 1);
-  if (ta.empty() && tb.empty()) return 1.0;
-  if (ta.empty() || tb.empty()) return 0.0;
-  std::sort(ta.begin(), ta.end());
-  ta.erase(std::unique(ta.begin(), ta.end()), ta.end());
-  std::sort(tb.begin(), tb.end());
-  tb.erase(std::unique(tb.begin(), tb.end()), tb.end());
-  std::size_t shared = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < ta.size() && j < tb.size()) {
-    if (ta[i] == tb[j]) {
-      ++shared;
-      ++i;
-      ++j;
-    } else if (ta[i] < tb[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return static_cast<double>(shared) /
-         static_cast<double>(ta.size() + tb.size() - shared);
-}
-
-double CosineTokenSimilarity(std::string_view a, std::string_view b) {
-  std::map<std::string, double> freq_a;
-  std::map<std::string, double> freq_b;
-  for (auto& t : TokenizeAlnum(a, 1)) freq_a[t] += 1;
-  for (auto& t : TokenizeAlnum(b, 1)) freq_b[t] += 1;
-  if (freq_a.empty() && freq_b.empty()) return 1.0;
-  if (freq_a.empty() || freq_b.empty()) return 0.0;
-  double dot = 0;
-  for (const auto& [token, count] : freq_a) {
-    auto it = freq_b.find(token);
-    if (it != freq_b.end()) dot += count * it->second;
-  }
-  double norm_a = 0;
-  for (const auto& [token, count] : freq_a) norm_a += count * count;
-  double norm_b = 0;
-  for (const auto& [token, count] : freq_b) norm_b += count * count;
-  return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
-}
-
-double ComputeSimilarity(SimilarityFunction fn, std::string_view a,
-                         std::string_view b) {
-  switch (fn) {
-    case SimilarityFunction::kJaro:
-      return JaroSimilarity(a, b);
-    case SimilarityFunction::kJaroWinkler:
-      return JaroWinklerSimilarity(a, b);
-    case SimilarityFunction::kNormalizedLevenshtein:
-      return NormalizedLevenshtein(a, b);
-    case SimilarityFunction::kJaccardTokens:
-      return JaccardTokenSimilarity(a, b);
-    case SimilarityFunction::kCosineTokens:
-      return CosineTokenSimilarity(a, b);
-  }
-  return 0.0;
 }
 
 }  // namespace queryer

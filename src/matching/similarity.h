@@ -1,18 +1,14 @@
-// String similarity functions for entity matching.
+// String similarity for entity matching.
 //
 // The paper uses Jaro-Winkler as the resolution function (Sec. 9.1) and
-// treats matching as orthogonal to blocking; this module provides the
-// standard alternatives (Jaro, normalized Levenshtein, Jaccard and cosine
-// over token sets) plus the schema-agnostic profile comparison QueryER's
-// Comparison-Execution applies: the values of all corresponding attributes
-// are compared and averaged, with no per-attribute configuration.
+// treats matching as orthogonal to blocking. Jaro-Winkler is the token
+// kernel of the schema-agnostic profile comparison QueryER's
+// Comparison-Execution applies (matching/profile_matcher.h).
 
 #ifndef QUERYER_MATCHING_SIMILARITY_H_
 #define QUERYER_MATCHING_SIMILARITY_H_
 
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace queryer {
 
@@ -23,30 +19,6 @@ double JaroSimilarity(std::string_view a, std::string_view b);
 /// prefix with scaling factor `prefix_scale` (standard 0.1).
 double JaroWinklerSimilarity(std::string_view a, std::string_view b,
                              double prefix_scale = 0.1);
-
-/// \brief Levenshtein edit distance.
-std::size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-/// \brief 1 - distance / max(|a|, |b|), in [0, 1].
-double NormalizedLevenshtein(std::string_view a, std::string_view b);
-
-/// \brief Jaccard similarity of the two token sets.
-double JaccardTokenSimilarity(std::string_view a, std::string_view b);
-
-/// \brief Cosine similarity of the two token multisets.
-double CosineTokenSimilarity(std::string_view a, std::string_view b);
-
-enum class SimilarityFunction {
-  kJaro,
-  kJaroWinkler,
-  kNormalizedLevenshtein,
-  kJaccardTokens,
-  kCosineTokens,
-};
-
-/// \brief Dispatches to the chosen similarity kernel.
-double ComputeSimilarity(SimilarityFunction fn, std::string_view a,
-                         std::string_view b);
 
 }  // namespace queryer
 

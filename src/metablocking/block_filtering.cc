@@ -8,8 +8,7 @@
 
 namespace queryer {
 
-BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio) {
-  if (ratio >= 1.0) return blocks;
+BlockCollection BlockFiltering(const BlockCollection& blocks) {
   // A block's rank: size first, block order on ties. Ranks are distinct, so
   // an entity's ceil(p * n) smallest blocks are exactly those ranked at or
   // below the ceil(p * n)-th smallest rank among its blocks — its cut-off.
@@ -29,7 +28,7 @@ BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio) {
   for (std::uint32_t& k : keep) {
     if (k == 0) continue;
     auto kept = static_cast<std::uint32_t>(
-        std::ceil(ratio * static_cast<double>(k)));
+        std::ceil(kBlockFilteringRatio * static_cast<double>(k)));
     k = std::clamp<std::uint32_t>(kept, 1, k);
   }
   // Visiting blocks in rank order, an entity's cut-off is the block where

@@ -1,6 +1,6 @@
 // Block Filtering (paper Sec. 4, [27]): each block has different importance
-// for each of its entities, so every entity is retained only in its `p`
-// fraction of smallest blocks. Applied per entity, unlike Block Purging
+// for each of its entities, so every entity is retained only in its
+// kBlockFilteringRatio fraction of smallest blocks. Applied per entity, unlike Block Purging
 // which removes whole blocks.
 
 #ifndef QUERYER_METABLOCKING_BLOCK_FILTERING_H_
@@ -10,9 +10,9 @@
 
 namespace queryer {
 
-/// Default retention ratio; 0.8 is the standard setting in the
-/// meta-blocking literature the paper builds on.
-inline constexpr double kDefaultBlockFilteringRatio = 0.8;
+/// Retention ratio p; 0.8 is the standard setting in the meta-blocking
+/// literature the paper builds on.
+inline constexpr double kBlockFilteringRatio = 0.8;
 
 /// \brief Retains each entity only in its ceil(p * #blocks) smallest blocks.
 ///
@@ -24,7 +24,7 @@ inline constexpr double kDefaultBlockFilteringRatio = 0.8;
 /// Runs on dense per-entity counters: one pass over the blocks in
 /// (size, block order) finds each entity's cut-off block, and the rebuild
 /// tests each membership against that one number per entity.
-BlockCollection BlockFiltering(const BlockCollection& blocks, double ratio);
+BlockCollection BlockFiltering(const BlockCollection& blocks);
 
 }  // namespace queryer
 

@@ -7,31 +7,30 @@ namespace queryer {
 
 namespace {
 
-double ThresholdFromSizeSum(double total_size, std::size_t num_blocks,
-                            double outlier_factor) {
+double ThresholdFromSizeSum(double total_size, std::size_t num_blocks) {
   if (num_blocks == 0) return 0;
   double mean_size = total_size / static_cast<double>(num_blocks);
   double size_limit =
-      std::max(static_cast<double>(kMinKeptBlockSize), outlier_factor * mean_size);
+      std::max(static_cast<double>(kMinKeptBlockSize),
+               kPurgingOutlierFactor * mean_size);
   // Express the limit in cardinality units: ||b|| = |b| (|b| - 1) / 2.
   return size_limit * (size_limit - 1) / 2.0;
 }
 
 }  // namespace
 
-double ComputePurgingThreshold(const BlockCollection& blocks,
-                               double outlier_factor) {
+double ComputePurgingThreshold(const BlockCollection& blocks) {
   // Sizes are integers, so the double sum is exact in any order.
   double total = 0;
   for (const Block& b : blocks) total += static_cast<double>(b.size());
-  return ThresholdFromSizeSum(total, blocks.size(), outlier_factor);
+  return ThresholdFromSizeSum(total, blocks.size());
 }
 
 double ComputePurgingThresholdFromSizes(
-    const std::vector<std::size_t>& block_sizes, double outlier_factor) {
+    const std::vector<std::size_t>& block_sizes) {
   double total = 0;
   for (std::size_t size : block_sizes) total += static_cast<double>(size);
-  return ThresholdFromSizeSum(total, block_sizes.size(), outlier_factor);
+  return ThresholdFromSizeSum(total, block_sizes.size());
 }
 
 BlockCollection PurgeBlocks(BlockCollection blocks, double threshold) {
@@ -43,8 +42,8 @@ BlockCollection PurgeBlocks(BlockCollection blocks, double threshold) {
   return kept;
 }
 
-BlockCollection BlockPurging(BlockCollection blocks, double outlier_factor) {
-  double threshold = ComputePurgingThreshold(blocks, outlier_factor);
+BlockCollection BlockPurging(BlockCollection blocks) {
+  double threshold = ComputePurgingThreshold(blocks);
   return PurgeBlocks(std::move(blocks), threshold);
 }
 

@@ -40,34 +40,21 @@ class EntityBlockLists {
   const std::uint32_t* end(EntityId e) const {
     return blocks_.data() + offsets_[e + 1];
   }
-  std::uint32_t count(EntityId e) const {
-    return offsets_[e + 1] - offsets_[e];
-  }
 
  private:
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> blocks_;
 };
 
-// Blocks per ARCS summation chunk. ARCS weights are sums of reciprocals,
-// so their rounding depends on the association: a pair's increments are
-// summed in block order inside each 256-block chunk, then the chunk sums in
-// chunk order. That is the association of the pair-enumerating build this
-// pass replaced, so ARCS weights, and the pruning decisions resting on them,
-// kept every bit (tests/metablocking_diff_test.cc pins it).
-constexpr std::size_t kArcsChunkBlocks = 256;
-
 // The entity-centric pass. Every query entity q, ascending, walks its
-// blocks in block order; for each co-occurring entity y that the pair is
-// emitted from q for — y is not a query entity, or y > q — it calls
-// visit(y, block, first), `first` marking y's first co-occurrence in q's
-// pass. After q's blocks, emit(pair, y, shared) runs once per neighbour y,
-// `shared` being the number of blocks q and y share. Each query-relevant
-// pair is thus emitted exactly once, from its smaller query endpoint.
-template <typename Visit, typename Emit>
+// blocks and counts each co-occurring entity y that the pair is emitted
+// from q for — y is not a query entity, or y > q. After q's blocks,
+// emit(pair, shared) runs once per neighbour y, `shared` being the number
+// of blocks q and y share. Each query-relevant pair is thus emitted
+// exactly once, from its smaller query endpoint.
+template <typename Emit>
 void ForEachQueryEdge(const BlockCollection& blocks,
-                      const EntityBlockLists& lists, Visit&& visit,
-                      Emit&& emit) {
+                      const EntityBlockLists& lists, Emit&& emit) {
   const std::size_t n = lists.num_entities();
   std::vector<std::uint8_t> is_query(n, 0);
   for (const Block& b : blocks) {
@@ -80,13 +67,11 @@ void ForEachQueryEdge(const BlockCollection& blocks,
     for (const std::uint32_t* it = lists.begin(q); it != lists.end(q); ++it) {
       for (EntityId y : blocks[*it].entities) {
         if (y == q || (is_query[y] && y < q)) continue;
-        const bool first = shared[y]++ == 0;
-        if (first) touched.push_back(y);
-        visit(y, *it, first);
+        if (shared[y]++ == 0) touched.push_back(y);
       }
     }
     for (EntityId y : touched) {
-      emit(q < y ? Comparison{q, y} : Comparison{y, q}, y, shared[y]);
+      emit(q < y ? Comparison{q, y} : Comparison{y, q}, shared[y]);
       shared[y] = 0;
     }
     touched.clear();
@@ -113,64 +98,12 @@ void SortByPair(std::vector<T>* items, std::size_t num_entities,
 
 }  // namespace
 
-BlockingGraph BuildBlockingGraph(const BlockCollection& blocks,
-                                 EdgeWeighting weighting) {
+BlockingGraph BuildBlockingGraph(const BlockCollection& blocks) {
   const EntityBlockLists lists(blocks);
   BlockingGraph graph;
-  switch (weighting) {
-    case EdgeWeighting::kCbs:
-      ForEachQueryEdge(
-          blocks, lists, [](EntityId, std::uint32_t, bool) {},
-          [&](Comparison pair, EntityId, std::uint32_t shared) {
-            graph.edges.push_back({pair, static_cast<double>(shared)});
-          });
-      break;
-    case EdgeWeighting::kJs:
-      ForEachQueryEdge(
-          blocks, lists, [](EntityId, std::uint32_t, bool) {},
-          [&](Comparison pair, EntityId, std::uint32_t shared) {
-            const double common = shared;
-            const double denom = static_cast<double>(lists.count(pair.first)) +
-                                 static_cast<double>(lists.count(pair.second)) -
-                                 common;
-            graph.edges.push_back({pair, denom > 0 ? common / denom : 0.0});
-          });
-      break;
-    case EdgeWeighting::kArcs: {
-      std::vector<double> reciprocal(blocks.size());
-      for (std::size_t i = 0; i < blocks.size(); ++i) {
-        const double cardinality = blocks[i].Cardinality();
-        reciprocal[i] = cardinality > 0 ? 1.0 / cardinality : 0.0;
-      }
-      // Per neighbour: the finished chunks' total, the open chunk's sum and
-      // the open chunk's index.
-      struct ArcsSum {
-        double total;
-        double chunk_sum;
-        std::size_t chunk;
-      };
-      std::vector<ArcsSum> sums(lists.num_entities());
-      ForEachQueryEdge(
-          blocks, lists,
-          [&](EntityId y, std::uint32_t block, bool first) {
-            ArcsSum& s = sums[y];
-            const std::size_t chunk = block / kArcsChunkBlocks;
-            if (first) {
-              s = {0.0, reciprocal[block], chunk};
-            } else if (chunk != s.chunk) {
-              s.total += s.chunk_sum;
-              s.chunk_sum = reciprocal[block];
-              s.chunk = chunk;
-            } else {
-              s.chunk_sum += reciprocal[block];
-            }
-          },
-          [&](Comparison pair, EntityId y, std::uint32_t) {
-            graph.edges.push_back({pair, sums[y].total + sums[y].chunk_sum});
-          });
-      break;
-    }
-  }
+  ForEachQueryEdge(blocks, lists, [&](Comparison pair, std::uint32_t shared) {
+    graph.edges.push_back({pair, static_cast<double>(shared)});
+  });
   // The mean is summed in sorted order, so it depends only on the edge set.
   SortByPair(&graph.edges, lists.num_entities(),
              [](const WeightedEdge& edge) { return edge.pair; });
@@ -192,19 +125,12 @@ std::vector<Comparison> EdgePruning(const BlockingGraph& graph) {
   return kept;
 }
 
-std::vector<Comparison> EdgePruning(const BlockCollection& blocks,
-                                    EdgeWeighting weighting) {
-  return EdgePruning(BuildBlockingGraph(blocks, weighting));
-}
-
 std::vector<Comparison> DistinctComparisons(const BlockCollection& blocks) {
   const EntityBlockLists lists(blocks);
   std::vector<Comparison> comparisons;
-  ForEachQueryEdge(
-      blocks, lists, [](EntityId, std::uint32_t, bool) {},
-      [&](Comparison pair, EntityId, std::uint32_t) {
-        comparisons.push_back(pair);
-      });
+  ForEachQueryEdge(blocks, lists, [&](Comparison pair, std::uint32_t) {
+    comparisons.push_back(pair);
+  });
   SortByPair(&comparisons, lists.num_entities(),
              [](const Comparison& pair) { return pair; });
   return comparisons;

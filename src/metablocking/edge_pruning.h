@@ -25,16 +25,6 @@ namespace queryer {
 /// (first < second).
 using Comparison = std::pair<EntityId, EntityId>;
 
-/// \brief Edge weighting schemes of the meta-blocking literature.
-enum class EdgeWeighting {
-  /// Common Blocks Scheme: number of blocks both entities share.
-  kCbs,
-  /// Jaccard Scheme: shared blocks / (blocks(a) + blocks(b) - shared).
-  kJs,
-  /// Aggregate Reciprocal Comparisons: Σ over shared blocks of 1 / ||b||.
-  kArcs,
-};
-
 /// \brief One weighted edge of the blocking graph.
 struct WeightedEdge {
   Comparison pair;
@@ -47,31 +37,24 @@ struct BlockingGraph {
   double mean_weight = 0;
 };
 
-/// \brief Builds the (query-restricted) blocking graph with edge weights.
+/// \brief Builds the (query-restricted) blocking graph, every edge weighted
+/// by the Common Blocks Scheme (CBS): the number of blocks both entities
+/// share. Of the weighting schemes of Papadakis et al. ("Meta-Blocking",
+/// TKDE 2014), CBS is the one QueryER runs.
 ///
-/// Per-entity block counts for the JS denominator are computed over the
-/// input collection itself, i.e. after any block-refinement steps, following
-/// the strict BP -> BF -> EP order of the paper.
-///
-/// The weights are accumulated entity-centrically: each query entity makes
-/// one pass over its blocks, counting its co-occurring entities in a dense
+/// The weights are counted entity-centrically: each query entity makes one
+/// pass over its blocks, counting its co-occurring entities in a dense
 /// counter indexed by entity id, and a pair is emitted once, from its
 /// smaller query endpoint. That is O(Σ|QE_b|·|b|) work, not the O(Σ|b|²)
-/// of enumerating every pair of every block. A pair's shared blocks arrive
-/// in block order, and ARCS sums them inside fixed 256-block chunks, then
-/// the chunk sums in chunk order, so every weight has one fixed rounding.
-/// Edges are sorted by pair and the mean is summed in that order.
-BlockingGraph BuildBlockingGraph(const BlockCollection& blocks,
-                                 EdgeWeighting weighting);
+/// of enumerating every pair of every block. Weights are integers, so they
+/// are exact; edges are sorted by pair and the mean is summed in that
+/// order.
+BlockingGraph BuildBlockingGraph(const BlockCollection& blocks);
 
 /// \brief Weighted Edge Pruning: keeps edges with weight >= mean weight.
 ///
 /// Returns the surviving comparisons in deterministic order.
 std::vector<Comparison> EdgePruning(const BlockingGraph& graph);
-
-/// \brief Convenience: graph construction + pruning.
-std::vector<Comparison> EdgePruning(const BlockCollection& blocks,
-                                    EdgeWeighting weighting);
 
 /// \brief All distinct query-relevant comparisons of a block collection,
 /// without pruning (the BP+BF configuration of paper Table 8), sorted. Each

@@ -13,7 +13,7 @@ MetaBlockingResult RunMetaBlocking(BlockCollection blocks,
   Stopwatch watch;
   if (config.block_purging) {
     TraceSpan span(trace, "purging", "er");
-    blocks = BlockPurging(std::move(blocks), config.purging_outlier_factor);
+    blocks = BlockPurging(std::move(blocks));
     result.purging_seconds = watch.ElapsedSeconds();
   }
   result.blocks_after_purging = blocks.size();
@@ -21,7 +21,7 @@ MetaBlockingResult RunMetaBlocking(BlockCollection blocks,
   if (config.block_filtering) {
     watch.Restart();
     TraceSpan span(trace, "filtering", "er");
-    blocks = BlockFiltering(blocks, config.filtering_ratio);
+    blocks = BlockFiltering(blocks);
     result.filtering_seconds = watch.ElapsedSeconds();
   }
   result.blocks_after_filtering = blocks.size();
@@ -30,7 +30,7 @@ MetaBlockingResult RunMetaBlocking(BlockCollection blocks,
     watch.Restart();
     TraceSpan span(trace, "edge-pruning", "er");
     if (config.edge_pruning) {
-      BlockingGraph graph = BuildBlockingGraph(blocks, config.edge_weighting);
+      BlockingGraph graph = BuildBlockingGraph(blocks);
       result.comparisons_before_pruning = graph.edges.size();
       result.comparisons = EdgePruning(graph);
     } else {

@@ -17,14 +17,12 @@
 namespace queryer {
 
 /// \brief Which refinement steps run; paper Table 8 evaluates ALL, BP+BF,
-/// and BP+EP.
+/// and BP+EP. Each step's setting is fixed: kPurgingOutlierFactor,
+/// kBlockFilteringRatio and CBS edge weights.
 struct MetaBlockingConfig {
   bool block_purging = true;
   bool block_filtering = true;
   bool edge_pruning = true;
-  double purging_outlier_factor = kDefaultPurgingOutlierFactor;
-  double filtering_ratio = kDefaultBlockFilteringRatio;
-  EdgeWeighting edge_weighting = EdgeWeighting::kCbs;
 
   static MetaBlockingConfig All() { return {}; }
   static MetaBlockingConfig BpBf() {

@@ -121,15 +121,6 @@ void Semaphore::Release() {
   available_cv_.notify_one();
 }
 
-void Semaphore::Reset(std::size_t count) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    available_ = count;
-    unlimited_ = count == 0;
-  }
-  available_cv_.notify_all();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;

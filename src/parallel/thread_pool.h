@@ -137,11 +137,6 @@ class Semaphore {
   /// admission-wait histogram stays the admitted-session distribution.
   bool TryAcquireFor(double timeout_seconds);
 
-  /// Re-initializes the capacity. Only valid while no slot is held (the
-  /// engine's registration-time setters) — existing holders' Releases
-  /// would otherwise over-count the new capacity.
-  void Reset(std::size_t count);
-
   /// When set, every Acquire records how long it waited for a slot
   /// (including the zero-wait fast path, so the histogram's count is the
   /// admitted-session count). The histogram must outlive the semaphore —
@@ -181,7 +176,7 @@ class Semaphore {
   std::mutex mutex_;
   std::condition_variable available_cv_;
   std::size_t available_;
-  bool unlimited_;
+  const bool unlimited_;
   LatencyHistogram* wait_histogram_ = nullptr;
 };
 

@@ -125,7 +125,9 @@ Result<LoadedIndexes> IndexSnapshotIO::Load(const std::string& path,
   bool ascending = true;
   for (std::uint32_t b = 0; b < num_blocks; ++b) {
     block_keys.emplace_back(keys_reader.String());
-    // FindBlock binary-searches the keys.
+    // Build numbers blocks in key order, and Block-Join's output order and
+    // Block Filtering's (size, block order) tie-break rest on those ids: a
+    // file whose keys do not strictly ascend is no index Build produced.
     if (b > 0 && block_keys[b - 1] >= block_keys[b]) ascending = false;
   }
   if (!keys_reader.AtEnd() || !ascending) {

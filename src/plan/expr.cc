@@ -9,6 +9,31 @@
 
 namespace queryer {
 
+namespace {
+
+// MOD(lhs, rhs): the integer % of the operands' truncations. Returns false
+// — a non-numeric result, like a non-numeric operand — where that % is
+// undefined: an operand that is not finite or whose truncation does not
+// fit a long long, or a divisor that truncates to 0 (MOD(x, 0.5) too).
+// x % -1 is 0 for every x, and is computed without the division that
+// overflows at LLONG_MIN.
+bool ModNumbers(double lhs, double rhs, double* out) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  // NaN fails every comparison, so it is rejected with the infinities.
+  if (!(lhs >= -kTwoTo63 && lhs < kTwoTo63 && rhs >= -kTwoTo63 &&
+        rhs < kTwoTo63)) {
+    return false;
+  }
+  const auto divisor = static_cast<long long>(rhs);
+  if (divisor == 0) return false;
+  *out = divisor == -1 ? 0.0
+                       : static_cast<double>(static_cast<long long>(lhs) %
+                                             divisor);
+  return true;
+}
+
+}  // namespace
+
 std::string_view CompareOpToString(CompareOp op) {
   switch (op) {
     case CompareOp::kEq: return "=";
@@ -225,14 +250,15 @@ Expr::Value Expr::EvalValue(const RowRef& row) const {
       Value lhs = children_[0]->EvalValue(row);
       Value rhs = children_[1]->EvalValue(row);
       Value v;
-      if (lhs.number.has_value() && rhs.number.has_value() && *rhs.number != 0) {
-        auto result = static_cast<double>(
-            static_cast<long long>(*lhs.number) %
-            static_cast<long long>(*rhs.number));
+      double result = 0;
+      if (lhs.number.has_value() && rhs.number.has_value() &&
+          ModNumbers(*lhs.number, *rhs.number, &result)) {
         v.number = result;
         v.text = std::to_string(static_cast<long long>(result));
       }
-      return v;  // Non-numeric inputs yield an empty (non-numeric) value.
+      // Non-numeric inputs (or an undefined MOD) yield an empty
+      // (non-numeric) value.
+      return v;
     }
     default:
       // Predicates used in value position evaluate to "1"/"0".
@@ -320,7 +346,7 @@ bool ApplyCompare(CompareOp op, int cmp) {
 // Numeric evaluation of a column/literal/MOD subtree without building a
 // Value (no string copies). Mirrors EvalValue's numeric semantics exactly:
 // a column is numeric iff its text parses fully, MOD is numeric iff both
-// operands are and the divisor is nonzero.
+// operands are and ModNumbers defines it.
 bool TryEvalNumber(const Expr& e, const RowRef& row, double* out) {
   switch (e.kind()) {
     case ExprKind::kColumn: {
@@ -336,13 +362,9 @@ bool TryEvalNumber(const Expr& e, const RowRef& row, double* out) {
     }
     case ExprKind::kMod: {
       double lhs = 0, rhs = 0;
-      if (!TryEvalNumber(*e.children()[0], row, &lhs) ||
-          !TryEvalNumber(*e.children()[1], row, &rhs) || rhs == 0) {
-        return false;
-      }
-      *out = static_cast<double>(static_cast<long long>(lhs) %
-                                 static_cast<long long>(rhs));
-      return true;
+      return TryEvalNumber(*e.children()[0], row, &lhs) &&
+             TryEvalNumber(*e.children()[1], row, &rhs) &&
+             ModNumbers(lhs, rhs, out);
     }
     default:
       return false;

@@ -9,6 +9,7 @@
 #include "common/string_util.h"
 #include "exec/hash_join.h"
 #include "exec/table_predicate.h"
+#include "metablocking/block_filtering.h"
 #include "metablocking/block_purging.h"
 
 namespace queryer {
@@ -48,8 +49,7 @@ double ApproximateComparisonsAfterMetaBlocking(
   // surviving blocks are a prefix of its list.
   double threshold = std::numeric_limits<double>::infinity();
   if (config.block_purging) {
-    threshold = ComputePurgingThresholdFromSizes(
-        sizes, config.purging_outlier_factor);
+    threshold = ComputePurgingThresholdFromSizes(sizes);
   }
   auto purged = [&](std::uint32_t b) {
     auto n = static_cast<double>(tbi.block_size(b));
@@ -68,8 +68,8 @@ double ApproximateComparisonsAfterMetaBlocking(
     }
     std::size_t keep = surviving;
     if (config.block_filtering && keep > 0) {
-      keep = static_cast<std::size_t>(std::ceil(
-          config.filtering_ratio * static_cast<double>(surviving)));
+      keep = static_cast<std::size_t>(
+          std::ceil(kBlockFilteringRatio * static_cast<double>(surviving)));
       keep = std::max<std::size_t>(1, std::min(keep, surviving));
     }
     for (std::size_t i = 0; i < keep; ++i) ++qb[blocks[i]];

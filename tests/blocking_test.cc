@@ -21,12 +21,12 @@ TEST(TableBlockIndexTest, BuildsExpectedBlocks) {
   TablePtr p = MotivatingP();
   auto tbi = TableBlockIndex::Build(*p, BlockingOptions{});
   // "edbt" appears in P1, P6, P8.
-  std::int64_t edbt = tbi->FindBlock("edbt");
+  std::int64_t edbt = FindBlock(*tbi, "edbt");
   ASSERT_GE(edbt, 0);
   EXPECT_EQ(tbi->block_entities(static_cast<std::size_t>(edbt)),
             (std::vector<EntityId>{0, 5, 7}));
   // "collective" appears in P1, P2.
-  std::int64_t collective = tbi->FindBlock("collective");
+  std::int64_t collective = FindBlock(*tbi, "collective");
   ASSERT_GE(collective, 0);
   EXPECT_EQ(tbi->block_entities(static_cast<std::size_t>(collective)),
             (std::vector<EntityId>{0, 1}));
@@ -37,8 +37,8 @@ TEST(TableBlockIndexTest, SingletonBlocksDropped) {
   auto tbi = TableBlockIndex::Build(*p, BlockingOptions{});
   // "collective" is shared; a unique token like "p3" (id of one row) forms
   // no block.
-  EXPECT_EQ(tbi->FindBlock("p3"), -1);
-  EXPECT_EQ(tbi->FindBlock("nonexistent-token"), -1);
+  EXPECT_EQ(FindBlock(*tbi, "p3"), -1);
+  EXPECT_EQ(FindBlock(*tbi, "nonexistent-token"), -1);
 }
 
 TEST(TableBlockIndexTest, InverseIndexSortedBySize) {
@@ -85,7 +85,7 @@ TEST(QueryBlockIndexTest, BuildsOnlyOverQueryEntities) {
   for (EntityId e : selection) {
     for (const std::string& key :
          EntityBlockingKeys(*p, e, BlockingOptions{})) {
-      if (tbi->FindBlock(key) >= 0) tokenized[key].push_back(e);
+      if (FindBlock(*tbi, key) >= 0) tokenized[key].push_back(e);
     }
   }
   BlockCollection enriched = BlockJoin(qbi, *tbi);

@@ -2,7 +2,7 @@
 //
 // The oracle below is the string-based profile similarity the kernel
 // replaced: every comparison tokenizes both profiles into sorted
-// std::string vectors, matches tokens greedily with the string kernel, and
+// std::string vectors, matches tokens greedily with Jaro-Winkler, and
 // sums the cosine over a sorted (token, weight) list. The kernel must
 // return the very same doubles (compared with memcmp, not a tolerance) on
 // generated funnel pairs, random pairs and hand-picked edge cases, however
@@ -42,12 +42,10 @@ bool OracleExcluded(const MatchingConfig& config, std::size_t attribute) {
                    attribute) != config.excluded_attributes.end();
 }
 
-bool OracleTokensMatch(const std::string& a, const std::string& b,
-                       const MatchingConfig& config) {
+bool OracleTokensMatch(const std::string& a, const std::string& b) {
   if (a == b) return true;
   if (a.size() == 1 || b.size() == 1) return a[0] == b[0];
-  return ComputeSimilarity(config.function, a, b) >=
-         config.token_match_threshold;
+  return JaroWinklerSimilarity(a, b) >= kTokenMatchThreshold;
 }
 
 std::vector<std::string> OracleValueTokens(std::string_view value) {
@@ -63,8 +61,7 @@ std::optional<double> OracleFiniteNumber(std::string_view value) {
   return number;
 }
 
-double OracleValueSimilarity(std::string_view a, std::string_view b,
-                             const MatchingConfig& config) {
+double OracleValueSimilarity(std::string_view a, std::string_view b) {
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   std::optional<double> na = OracleFiniteNumber(a);
@@ -83,7 +80,7 @@ double OracleValueSimilarity(std::string_view a, std::string_view b,
   std::size_t shared = 0;
   for (const std::string& token : small) {
     for (std::size_t j = 0; j < large.size(); ++j) {
-      if (used[j] || !OracleTokensMatch(token, large[j], config)) continue;
+      if (used[j] || !OracleTokensMatch(token, large[j])) continue;
       used[j] = true;
       ++shared;
       break;
@@ -111,14 +108,14 @@ double OracleProfileSimilarity(const Table& table, EntityId a, EntityId b,
     double w = weight_of(i);
     aligned_total += w * (table.CodeAt(a, i) == table.CodeAt(b, i)
                               ? 1.0
-                              : OracleValueSimilarity(va, vb, config));
+                              : OracleValueSimilarity(va, vb));
     aligned_weight += w;
   }
   double aligned = aligned_weight == 0 ? 0.0 : aligned_total / aligned_weight;
   if (total_weight > 0 && aligned_weight < 0.5 * total_weight) {
     aligned *= aligned_weight / (0.5 * total_weight);
   }
-  if (aligned >= config.threshold) return aligned;
+  if (aligned >= kMatchThreshold) return aligned;
 
   auto gather = [&](EntityId e) {
     std::vector<std::pair<std::string, double>> tokens;
@@ -170,11 +167,7 @@ double OracleProfileSimilarity(const Table& table, EntityId a, EntityId b,
       cosine = dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
     }
   }
-  double cosine_scaled =
-      config.cosine_threshold > 0
-          ? cosine * config.threshold / config.cosine_threshold
-          : cosine;
-  return std::max(aligned, cosine_scaled);
+  return std::max(aligned, cosine * kMatchThreshold / kCosineThreshold);
 }
 
 // ---- Helpers -------------------------------------------------------------
@@ -281,20 +274,6 @@ TEST(ComparisonKernelTest, FunnelAndRandomPairsMatchOracleBitForBit) {
   EXPECT_GT(total_pairs, 50000u) << total_pairs;
 }
 
-TEST(ComparisonKernelTest, OtherTokenKernelsMatchOracle) {
-  datagen::GeneratedDataset dsd = datagen::MakeDsdLike(800, 5);
-  const AttributeWeights weights = AttributeWeights::Compute(*dsd.table);
-  std::vector<Comparison> pairs = RandomPairs(*dsd.table, 800, 5);
-  for (SimilarityFunction fn :
-       {SimilarityFunction::kJaro, SimilarityFunction::kNormalizedLevenshtein,
-        SimilarityFunction::kJaccardTokens}) {
-    MatchingConfig config = IdExcluded();
-    config.function = fn;
-    config.token_match_threshold = 0.7;
-    EXPECT_EQ(CountMismatches(*dsd.table, pairs, config, &weights), 0u);
-  }
-}
-
 TEST(ComparisonKernelTest, BoundedMemoEvictsAndStaysExact) {
   // Random PPL pairs touch tens of thousands of distinct token pairs, far
   // beyond one kernel's memo: entries are overwritten, answers are not.
@@ -369,7 +348,7 @@ TEST(ComparisonKernelTest, ChunkingDoesNotChangeScoresOrMatches) {
   EXPECT_EQ(parallel->matched, serial->matched);
   std::vector<Comparison> expected;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (scores[i] >= config.threshold) expected.push_back(pairs[i]);
+    if (scores[i] >= kMatchThreshold) expected.push_back(pairs[i]);
   }
   EXPECT_EQ(serial->matched, expected);
   EXPECT_FALSE(expected.empty());
@@ -422,16 +401,15 @@ const std::vector<std::string>& EdgeValues() {
 }
 
 TEST(ComparisonKernelTest, ValueSimilarityEdgeCasesMatchOracle) {
-  MatchingConfig config;
   const std::vector<std::string>& values = EdgeValues();
   for (const std::string& a : values) {
     for (const std::string& b : values) {
-      const double got = ValueSimilarity(a, b, config);
-      const double want = OracleValueSimilarity(a, b, config);
+      const double got = ValueSimilarity(a, b);
+      const double want = OracleValueSimilarity(a, b);
       EXPECT_TRUE(SameBits(got, want))
           << "'" << a << "' vs '" << b << "': " << got << " vs " << want;
     }
-    EXPECT_DOUBLE_EQ(ValueSimilarity(a, a, config), 1.0) << "'" << a << "'";
+    EXPECT_DOUBLE_EQ(ValueSimilarity(a, a), 1.0) << "'" << a << "'";
   }
 }
 

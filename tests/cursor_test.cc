@@ -178,29 +178,6 @@ TEST_F(CursorTest, PrepareCapturesOptionsAtPrepareTime) {
   EXPECT_FALSE(DrainCursor(cursor->get()).empty());
 }
 
-// The without-LI arm defers planning to Open (the plan depends on the
-// per-Open Link Index reset): PreparedQuery says so in its plan text,
-// Explain still shows a real plan, and execution works.
-TEST_F(CursorTest, WithoutLinkIndexDefersPlanningButExplains) {
-  auto engine = MakeEngine({dsd_->table});
-  engine->set_use_link_index(false);
-  const std::string sql =
-      "SELECT DEDUP title FROM dsd WHERE MOD(id, 100) < 5";
-  auto plan = engine->Explain(sql);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_NE(plan->find("Deduplicate"), std::string::npos) << *plan;
-  auto prepared = engine->Prepare(sql);
-  ASSERT_TRUE(prepared.ok());
-  EXPECT_NE(prepared->plan_text().find("planned at Open"), std::string::npos)
-      << prepared->plan_text();
-  auto result = engine->Execute(sql);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->rows.empty());
-  // The executed plan (post-reset) is reported, not the placeholder.
-  EXPECT_NE(result->plan_text.find("Deduplicate"), std::string::npos)
-      << result->plan_text;
-}
-
 // Fetch(n) returns exactly n rows until the stream runs dry, and the
 // concatenation equals the Execute answer.
 TEST_F(CursorTest, FetchReturnsRowsInOrder) {

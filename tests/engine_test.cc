@@ -160,13 +160,22 @@ TEST_F(EngineTest, LinkIndexMakesRepeatsCheaper) {
   EXPECT_EQ(second->rows.size(), first->rows.size());
 }
 
+// The without-LI arm of Fig. 11: forgetting every table's links before a
+// query makes a repeat pay the full resolution again.
 TEST_F(EngineTest, WithoutLinkIndexRepeatsPayAgain) {
   QueryEngine engine(Options());
   RegisterExample(&engine);
-  engine.set_use_link_index(false);
-  auto first = engine.Execute(kPaperQuery);
+  auto reset_and_execute = [&engine] {
+    for (const char* table : {"P", "V"}) {
+      auto runtime = engine.GetRuntime(table);
+      EXPECT_TRUE(runtime.ok());
+      if (runtime.ok()) (*runtime)->ResetLinkIndex();
+    }
+    return engine.Execute(kPaperQuery);
+  };
+  auto first = reset_and_execute();
   ASSERT_TRUE(first.ok());
-  auto second = engine.Execute(kPaperQuery);
+  auto second = reset_and_execute();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.comparisons_executed,
             first->stats.comparisons_executed);
@@ -182,6 +191,27 @@ TEST_F(EngineTest, ExplainShowsOperators) {
   EXPECT_NE(plan->find("DedupJoin"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("GroupEntities"), std::string::npos);
   EXPECT_NE(plan->find("Project"), std::string::npos);
+}
+
+// MOD by a divisor that truncates to 0 is non-numeric, so the predicate
+// selects nothing; the integer division by zero used to kill the process.
+TEST_F(EngineTest, ModByFractionalDivisorSelectsNothing) {
+  QueryEngine engine(Options());
+  RegisterExample(&engine);
+  for (const char* sql : {"SELECT id FROM P WHERE MOD(year, 0.5) = 0",
+                          "SELECT DEDUP id FROM P WHERE MOD(year, 0.9) = 0"}) {
+    auto result = engine.Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    EXPECT_EQ(result->num_rows(), 0u) << sql;
+  }
+  // The other side of an OR still selects.
+  auto even = engine.Execute("SELECT id FROM P WHERE MOD(year, 2) = 0");
+  auto either = engine.Execute(
+      "SELECT id FROM P WHERE MOD(year, 0.5) = 0 OR MOD(year, 2) = 0");
+  ASSERT_TRUE(even.ok());
+  ASSERT_TRUE(either.ok()) << either.status().ToString();
+  EXPECT_GT(even->num_rows(), 0u);
+  EXPECT_EQ(either->rows, even->rows);
 }
 
 TEST_F(EngineTest, ErrorsSurfaceCleanly) {

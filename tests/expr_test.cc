@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/string_util.h"
 #include "plan/expr.h"
 #include "plan/logical_plan.h"
@@ -127,6 +130,75 @@ TEST(ExprEvalTest, Mod) {
   // Non-numeric input: MOD yields a non-numeric empty value, predicate false.
   std::vector<std::string> row3 = {"abc", "", "", ""};
   EXPECT_FALSE(pred->EvalBool(row3));
+}
+
+// MOD(p.year, divisor) where the integer % is undefined: a divisor that
+// truncates to 0, a non-finite operand, or one outside the int64 range.
+// The result is the non-numeric empty value on every evaluation path, and
+// the process does not trap.
+TEST(ExprEvalTest, ModUndefinedIsNonNumeric) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* year;
+    double divisor;
+  } cases[] = {
+      {"2008", 0.5},   {"2008", -0.9},  {"2008", 0},
+      {"2008", inf},   {"2008", -inf},  {"2008", std::nan("")},
+      {"2008", 1e300}, {"2008", 9223372036854775808.0},
+      {"1e300", 7},    {"-1e19", 7},    {"inf", 7},
+      {"9223372036854775808", 7},
+  };
+  for (const auto& c : cases) {
+    const std::vector<std::string> row = {"1", "", "", c.year};
+    const std::string where =
+        std::string("MOD(") + c.year + ", " + std::to_string(c.divisor) + ")";
+    Expr::Value v = Bound(Expr::Mod(Expr::Column("p", "year"),
+                                    Expr::NumberLiteral(c.divisor)))
+                        ->EvalValue(row);
+    EXPECT_FALSE(v.number.has_value()) << where;
+    EXPECT_EQ(v.text, "") << where;
+    ExprPtr pred = Bound(Expr::Compare(
+        CompareOp::kEq,
+        Expr::Mod(Expr::Column("p", "year"), Expr::NumberLiteral(c.divisor)),
+        Expr::NumberLiteral(0)));
+    EXPECT_FALSE(pred->EvalBool(row)) << where;
+    EXPECT_FALSE(pred->EvalBoolFast(row)) << where;
+  }
+}
+
+// In range, MOD keeps C's % over the truncated operands, at the int64
+// limits too.
+TEST(ExprEvalTest, ModInRangeTruncates) {
+  const struct {
+    const char* year;
+    double divisor;
+    double want;
+  } cases[] = {
+      {"17", 10.9, 7},
+      {"17.9", 10, 7},
+      {"-17", 10, -7},
+      {"17", -10, 7},
+      {"-9223372036854775808", -1, 0},
+      {"-9223372036854775808", 10, -8},
+      {"9223372036854774784", 1000, 784},
+      {"2008", 1, 0},
+  };
+  for (const auto& c : cases) {
+    const std::vector<std::string> row = {"1", "", "", c.year};
+    const std::string where =
+        std::string("MOD(") + c.year + ", " + std::to_string(c.divisor) + ")";
+    Expr::Value v = Bound(Expr::Mod(Expr::Column("p", "year"),
+                                    Expr::NumberLiteral(c.divisor)))
+                        ->EvalValue(row);
+    ASSERT_TRUE(v.number.has_value()) << where;
+    EXPECT_EQ(*v.number, c.want) << where;
+    ExprPtr pred = Bound(Expr::Compare(
+        CompareOp::kEq,
+        Expr::Mod(Expr::Column("p", "year"), Expr::NumberLiteral(c.divisor)),
+        Expr::NumberLiteral(c.want)));
+    EXPECT_TRUE(pred->EvalBool(row)) << where;
+    EXPECT_TRUE(pred->EvalBoolFast(row)) << where;
+  }
 }
 
 TEST(ExprCloneTest, DeepAndIndependent) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exec/table_runtime.h"
+#include "metablocking/block_filtering.h"
 #include "metablocking/block_purging.h"
 
 namespace queryer {
@@ -47,8 +48,7 @@ inline double OracleApproximateComparisons(
   if (config.block_purging) {
     std::vector<std::size_t> sizes;
     for (std::uint32_t b : touched) sizes.push_back(tbi.block_size(b));
-    double threshold = ComputePurgingThresholdFromSizes(
-        sizes, config.purging_outlier_factor);
+    double threshold = ComputePurgingThresholdFromSizes(sizes);
     for (std::uint32_t b : touched) {
       auto n = static_cast<double>(tbi.block_size(b));
       if (n * (n - 1) / 2.0 > threshold) purged.insert(b);
@@ -64,7 +64,7 @@ inline double OracleApproximateComparisons(
     std::size_t keep = surviving.size();
     if (config.block_filtering && keep > 0) {
       keep = static_cast<std::size_t>(std::ceil(
-          config.filtering_ratio * static_cast<double>(surviving.size())));
+          kBlockFilteringRatio * static_cast<double>(surviving.size())));
       keep = std::max<std::size_t>(1, std::min(keep, surviving.size()));
     }
     for (std::size_t i = 0; i < keep; ++i) qb[surviving[i]] += 1.0;

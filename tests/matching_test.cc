@@ -1,5 +1,5 @@
-// Unit tests for similarity kernels, the Link Index and
-// Comparison-Execution.
+// Unit tests for Jaro-Winkler, value and profile similarity, the Link
+// Index and Comparison-Execution.
 
 #include <gtest/gtest.h>
 
@@ -42,46 +42,6 @@ TEST(JaroTest, Symmetric) {
   }
 }
 
-TEST(LevenshteinTest, KnownValues) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistance("abc", "abc"), 0u);
-  EXPECT_NEAR(NormalizedLevenshtein("kitten", "sitting"), 1.0 - 3.0 / 7.0, 1e-9);
-  EXPECT_DOUBLE_EQ(NormalizedLevenshtein("", ""), 1.0);
-}
-
-TEST(JaccardTest, TokenSets) {
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("big data", "big data"), 1.0);
-  // {"big","data"} vs {"big","query"}: 1/3.
-  EXPECT_NEAR(JaccardTokenSimilarity("big data", "big query"), 1.0 / 3.0, 1e-9);
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("", "x"), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("", ""), 1.0);
-  // Repeated tokens count once.
-  EXPECT_DOUBLE_EQ(JaccardTokenSimilarity("data data data", "data"), 1.0);
-}
-
-TEST(CosineTest, TokenMultisets) {
-  EXPECT_NEAR(CosineTokenSimilarity("big data", "big data"), 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(CosineTokenSimilarity("abc", "xyz"), 0.0);
-  double sim = CosineTokenSimilarity("entity resolution", "entity matching");
-  EXPECT_GT(sim, 0.4);
-  EXPECT_LT(sim, 0.6);
-}
-
-TEST(ComputeSimilarityTest, Dispatch) {
-  EXPECT_DOUBLE_EQ(
-      ComputeSimilarity(SimilarityFunction::kJaro, "abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(
-      ComputeSimilarity(SimilarityFunction::kJaroWinkler, "abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(
-      ComputeSimilarity(SimilarityFunction::kNormalizedLevenshtein, "a", "a"),
-      1.0);
-  EXPECT_DOUBLE_EQ(
-      ComputeSimilarity(SimilarityFunction::kJaccardTokens, "a b", "a b"), 1.0);
-  EXPECT_DOUBLE_EQ(
-      ComputeSimilarity(SimilarityFunction::kCosineTokens, "a b", "a b"), 1.0);
-}
-
 MatchingConfig TestConfig() {
   MatchingConfig config;
   config.excluded_attributes = {0};  // The e_id column of the test tables.
@@ -89,63 +49,54 @@ MatchingConfig TestConfig() {
 }
 
 TEST(ValueSimilarityTest, ExactAndEmpty) {
-  MatchingConfig config;
-  EXPECT_DOUBLE_EQ(ValueSimilarity("edbt", "edbt", config), 1.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("", "", config), 1.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("x", "", config), 0.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("edbt", "edbt"), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("", ""), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("x", ""), 0.0);
 }
 
 TEST(ValueSimilarityTest, NumericValuesCompareByEquality) {
-  MatchingConfig config;
-  EXPECT_DOUBLE_EQ(ValueSimilarity("2008", "2008", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("2008", "2008"), 1.0);
   // "2008" and "2009" are one edit apart but are different years.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("2008", "2009", config), 0.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("7", "7.0", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("2008", "2009"), 0.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("7", "7.0"), 1.0);
 }
 
 TEST(ValueSimilarityTest, NonFiniteNumbersAreWords) {
   // strtod parses these, but only finite numbers compare numerically:
   // identical strings must not score 0.
-  MatchingConfig config;
-  EXPECT_DOUBLE_EQ(ValueSimilarity("Nan", "Nan", config), 1.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("nan", "NaN", config), 1.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("inf", "INF", config), 1.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("infinity", "Infinity", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("Nan", "Nan"), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("nan", "NaN"), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("inf", "INF"), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("infinity", "Infinity"), 1.0);
   // "-inf" tokenizes to "inf": the same word, whatever the sign.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("inf", "-inf", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("inf", "-inf"), 1.0);
   // A non-finite value against a number is a word against a number.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("nan", "7", config), 0.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("nan", "7"), 0.0);
   // Two different corrupted phone numbers that overflow to infinity are
   // not the same number.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("0472537e765", "049316e6219", config), 0.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("0472537e765", "049316e6219"), 0.0);
   // Finite numbers still compare by value.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("1e3", "1000", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("1e3", "1000"), 1.0);
 }
 
 TEST(ValueSimilarityTest, AbbreviationsMatch) {
-  MatchingConfig config;
   // "Collective E.R." vs "Collective Entity Resolution": e->entity,
   // r->resolution via the single-letter rule.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("collective e.r.",
-                                   "collective entity resolution", config),
-                   1.0);
-  EXPECT_DOUBLE_EQ(ValueSimilarity("j. davids", "jane davids", config), 1.0);
+  EXPECT_DOUBLE_EQ(
+      ValueSimilarity("collective e.r.", "collective entity resolution"), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("j. davids", "jane davids"), 1.0);
 }
 
 TEST(ValueSimilarityTest, TyposMatchViaKernel) {
-  MatchingConfig config;
   // One transposition: "entity" vs "enitty" clears the 0.88 JW bar.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("entity resolution",
-                                   "enitty resolution", config),
+  EXPECT_DOUBLE_EQ(ValueSimilarity("entity resolution", "enitty resolution"),
                    1.0);
   // Disjoint tokens share nothing.
-  EXPECT_DOUBLE_EQ(ValueSimilarity("alpha beta", "gamma delta", config), 0.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("alpha beta", "gamma delta"), 0.0);
 }
 
 TEST(ValueSimilarityTest, TokenSwapsAreFree) {
-  MatchingConfig config;
-  EXPECT_DOUBLE_EQ(
-      ValueSimilarity("davidson lisa", "lisa davidson", config), 1.0);
+  EXPECT_DOUBLE_EQ(ValueSimilarity("davidson lisa", "lisa davidson"), 1.0);
 }
 
 // A table of the given rows, for comparing rows 0 and 1.
@@ -188,7 +139,7 @@ TEST(ProfileSimilarityTest, CrossAttributeContentViaCosine) {
 
 TEST(ProfileSimilarityTest, SeparatesMotivatingExample) {
   // Property check over both example tables: every true duplicate pair must
-  // clear the default threshold, every non-duplicate must stay below it —
+  // clear kMatchThreshold, every non-duplicate must stay below it —
   // under the table's attribute-distinctiveness weights, as the engine
   // evaluates pairs.
   MatchingConfig config = TestConfig();
@@ -200,10 +151,10 @@ TEST(ProfileSimilarityTest, SeparatesMotivatingExample) {
       for (EntityId b = a + 1; b < t.num_rows(); ++b) {
         double sim = ProfileSimilarity(t, a, b, config, &weights);
         if (dataset.ground_truth.AreDuplicates(a, b)) {
-          EXPECT_GE(sim, config.threshold)
+          EXPECT_GE(sim, kMatchThreshold)
               << t.name() << " rows " << a << "," << b;
         } else {
-          EXPECT_LT(sim, config.threshold)
+          EXPECT_LT(sim, kMatchThreshold)
               << t.name() << " rows " << a << "," << b;
         }
       }
@@ -243,7 +194,7 @@ TEST(AttributeWeightsTest, WeakAttributeAgreementIsNotEnough) {
   AttributeWeights weights = AttributeWeights::Compute(*table);
   MatchingConfig config = TestConfig();
   double sim = ProfileSimilarity(*table, 0, 2, config, &weights);
-  EXPECT_LT(sim, config.threshold);
+  EXPECT_LT(sim, kMatchThreshold);
 }
 
 TEST(LinkIndexTest, SingletonsInitially) {

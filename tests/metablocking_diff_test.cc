@@ -5,11 +5,11 @@
 // every query entity into a key-sorted std::map, Block-Join looks each key
 // up by string, Block Filtering keeps a hash map of per-entity block lists
 // and one retained set per block, and the blocking graph enumerates every
-// pair of every block into per-chunk (256 blocks) hash maps merged in chunk
-// order. The id-based pipeline must give the same blocks (ids named by
-// their keys, entity and query-entity lists) after every stage, the same
-// edges with memcmp-equal weights and mean, and the same comparisons, for
-// every configuration and weighting, with no pool and with four workers.
+// pair of every block into a hash map of shared-block counts. The id-based
+// pipeline must give the same blocks (ids named by their keys, entity and
+// query-entity lists) after every stage, the same edges with memcmp-equal
+// weights and mean, and the same comparisons, for every configuration,
+// with no pool and with four workers.
 
 #include <gtest/gtest.h>
 
@@ -69,7 +69,7 @@ QueryBlocks BuildQueryBlocks(const Table& table,
 Collection Join(const QueryBlocks& qbi, const TableBlockIndex& tbi) {
   Collection enriched;
   for (const auto& [key, query_entities] : qbi) {
-    std::int64_t block_id = tbi.FindBlock(key);
+    std::int64_t block_id = FindBlock(tbi, key);
     if (block_id < 0) continue;
     enriched.push_back(
         {key, tbi.block_entities(static_cast<std::size_t>(block_id)),
@@ -78,13 +78,13 @@ Collection Join(const QueryBlocks& qbi, const TableBlockIndex& tbi) {
   return enriched;
 }
 
-Collection Purge(Collection blocks, double outlier_factor) {
+Collection Purge(Collection blocks) {
   if (blocks.empty()) return blocks;
   double total = 0;
   for (const Block& b : blocks) total += static_cast<double>(b.size());
   double mean_size = total / static_cast<double>(blocks.size());
   double size_limit = std::max(static_cast<double>(kMinKeptBlockSize),
-                               outlier_factor * mean_size);
+                               kPurgingOutlierFactor * mean_size);
   double threshold = size_limit * (size_limit - 1) / 2.0;
   Collection kept;
   for (Block& b : blocks) {
@@ -93,8 +93,7 @@ Collection Purge(Collection blocks, double outlier_factor) {
   return kept;
 }
 
-Collection Filter(const Collection& blocks, double ratio) {
-  if (ratio >= 1.0) return blocks;
+Collection Filter(const Collection& blocks) {
   std::unordered_map<EntityId, std::vector<std::uint32_t>> entity_blocks;
   for (std::uint32_t i = 0; i < blocks.size(); ++i) {
     for (EntityId e : blocks[i].entities) entity_blocks[e].push_back(i);
@@ -108,7 +107,7 @@ Collection Filter(const Collection& blocks, double ratio) {
                            : a < b;
               });
     auto keep = static_cast<std::size_t>(
-        std::ceil(ratio * static_cast<double>(block_ids.size())));
+        std::ceil(kBlockFilteringRatio * static_cast<double>(block_ids.size())));
     if (keep == 0) keep = 1;
     if (keep > block_ids.size()) keep = block_ids.size();
     block_ids.resize(keep);
@@ -142,13 +141,11 @@ inline Comparison MakeComparison(EntityId a, EntityId b) {
   return a < b ? Comparison{a, b} : Comparison{b, a};
 }
 
-// Every query-relevant pair of blocks [begin, end), once per block.
+// Every query-relevant pair of every block, once per block.
 template <typename Fn>
-void ForEachQueryPairInRange(const Collection& blocks, std::size_t begin,
-                             std::size_t end, Fn&& fn) {
+void ForEachQueryPair(const Collection& blocks, Fn&& fn) {
   std::unordered_set<EntityId> query_set;
-  for (std::size_t bi = begin; bi < end; ++bi) {
-    const Block& b = blocks[bi];
+  for (const Block& b : blocks) {
     query_set.clear();
     query_set.insert(b.query_entities.begin(), b.query_entities.end());
     for (std::size_t i = 0; i < b.entities.size(); ++i) {
@@ -157,51 +154,23 @@ void ForEachQueryPairInRange(const Collection& blocks, std::size_t begin,
       for (std::size_t j = i + 1; j < b.entities.size(); ++j) {
         EntityId ej = b.entities[j];
         if (!ei_query && query_set.count(ej) == 0) continue;
-        fn(MakeComparison(ei, ej), bi);
+        fn(MakeComparison(ei, ej));
       }
     }
   }
 }
 
-constexpr std::size_t kWeightingChunkBlocks = 256;
-
-BlockingGraph Graph(const Collection& blocks, EdgeWeighting weighting) {
-  std::unordered_map<EntityId, double> entity_block_count;
-  if (weighting == EdgeWeighting::kJs) {
-    for (const Block& b : blocks) {
-      for (EntityId e : b.entities) entity_block_count[e] += 1;
-    }
-  }
-  std::vector<std::unordered_map<std::uint64_t, double>> partials;
-  for (std::size_t begin = 0; begin < blocks.size();
-       begin += kWeightingChunkBlocks) {
-    auto& accum = partials.emplace_back();
-    const std::size_t end =
-        std::min(blocks.size(), begin + kWeightingChunkBlocks);
-    ForEachQueryPairInRange(
-        blocks, begin, end, [&](Comparison pair, std::size_t block_index) {
-          double increment = 1.0;
-          if (weighting == EdgeWeighting::kArcs) {
-            double cardinality = blocks[block_index].Cardinality();
-            increment = cardinality > 0 ? 1.0 / cardinality : 0.0;
-          }
-          accum[PairKey(pair.first, pair.second)] += increment;
-        });
-  }
-  std::unordered_map<std::uint64_t, double> accum;
-  for (auto& partial : partials) {
-    for (const auto& [key, increment] : partial) accum[key] += increment;
-  }
+// CBS: an edge's weight is the number of blocks its endpoints share.
+BlockingGraph Graph(const Collection& blocks) {
+  std::unordered_map<std::uint64_t, double> shared;
+  ForEachQueryPair(blocks, [&](Comparison pair) {
+    shared[PairKey(pair.first, pair.second)] += 1.0;
+  });
   BlockingGraph graph;
-  for (const auto& [key, raw_weight] : accum) {
-    auto a = static_cast<EntityId>(key >> 32);
-    auto b = static_cast<EntityId>(key & 0xffffffffu);
-    double weight = raw_weight;
-    if (weighting == EdgeWeighting::kJs) {
-      double denom = entity_block_count[a] + entity_block_count[b] - raw_weight;
-      weight = denom > 0 ? raw_weight / denom : 0.0;
-    }
-    graph.edges.push_back({{a, b}, weight});
+  for (const auto& [key, weight] : shared) {
+    graph.edges.push_back({{static_cast<EntityId>(key >> 32),
+                            static_cast<EntityId>(key & 0xffffffffu)},
+                           weight});
   }
   std::sort(graph.edges.begin(), graph.edges.end(),
             [](const WeightedEdge& x, const WeightedEdge& y) {
@@ -227,13 +196,11 @@ std::vector<Comparison> Prune(const BlockingGraph& graph) {
 std::vector<Comparison> Distinct(const Collection& blocks) {
   std::unordered_set<std::uint64_t> seen;
   std::vector<Comparison> comparisons;
-  ForEachQueryPairInRange(blocks, 0, blocks.size(),
-                          [&](Comparison pair, std::size_t) {
-                            if (seen.insert(PairKey(pair.first, pair.second))
-                                    .second) {
-                              comparisons.push_back(pair);
-                            }
-                          });
+  ForEachQueryPair(blocks, [&](Comparison pair) {
+    if (seen.insert(PairKey(pair.first, pair.second)).second) {
+      comparisons.push_back(pair);
+    }
+  });
   std::sort(comparisons.begin(), comparisons.end());
   return comparisons;
 }
@@ -290,28 +257,13 @@ void ExpectSameGraph(const BlockingGraph& want, const BlockingGraph& got,
       << where << " mean " << got.mean_weight << " vs " << want.mean_weight;
 }
 
-std::vector<MetaBlockingConfig> EveryConfig(
-    double filtering_ratio = kDefaultBlockFilteringRatio) {
-  std::vector<MetaBlockingConfig> configs;
-  for (const MetaBlockingConfig& base :
-       {MetaBlockingConfig::All(), MetaBlockingConfig::BpBf(),
-        MetaBlockingConfig::BpEp(), MetaBlockingConfig::None()}) {
-    for (EdgeWeighting weighting :
-         {EdgeWeighting::kCbs, EdgeWeighting::kJs, EdgeWeighting::kArcs}) {
-      MetaBlockingConfig config = base;
-      config.edge_weighting = weighting;
-      config.filtering_ratio = filtering_ratio;
-      configs.push_back(config);
-    }
-  }
-  return configs;
-}
+const MetaBlockingConfig kEveryConfig[] = {
+    MetaBlockingConfig::All(), MetaBlockingConfig::BpBf(),
+    MetaBlockingConfig::BpEp(), MetaBlockingConfig::None()};
 
 std::string Describe(const MetaBlockingConfig& c) {
   return std::string(c.block_purging ? "BP" : "") +
-         (c.block_filtering ? "BF" : "") + (c.edge_pruning ? "EP" : "") +
-         "/w" + std::to_string(static_cast<int>(c.edge_weighting)) +
-         "/p" + std::to_string(c.filtering_ratio);
+         (c.block_filtering ? "BF" : "") + (c.edge_pruning ? "EP" : "");
 }
 
 ThreadPool* FourWorkers() {
@@ -325,32 +277,29 @@ ThreadPool* FourWorkers() {
 // is not vacuous.
 std::size_t CheckEveryConfig(const oracle::Collection& oracle_input,
                              const BlockCollection& input, const KeyName& name,
-                             const std::string& where,
-                             double filtering_ratio =
-                                 kDefaultBlockFilteringRatio) {
+                             const std::string& where) {
   std::size_t checked = 0;
-  for (const MetaBlockingConfig& config : EveryConfig(filtering_ratio)) {
+  for (const MetaBlockingConfig& config : kEveryConfig) {
     const std::string at = where + " " + Describe(config);
     SCOPED_TRACE(at);
     oracle::Collection want = oracle_input;
     BlockCollection got = input;
     if (config.block_purging) {
-      want = oracle::Purge(std::move(want), config.purging_outlier_factor);
-      got = BlockPurging(std::move(got), config.purging_outlier_factor);
+      want = oracle::Purge(std::move(want));
+      got = BlockPurging(std::move(got));
       ExpectSameBlocks(want, got, name, at + " after purging");
     }
     const std::size_t after_purging = want.size();
     if (config.block_filtering) {
-      want = oracle::Filter(want, config.filtering_ratio);
-      got = BlockFiltering(got, config.filtering_ratio);
+      want = oracle::Filter(want);
+      got = BlockFiltering(got);
       ExpectSameBlocks(want, got, name, at + " after filtering");
     }
     std::vector<Comparison> comparisons;
     std::size_t before_pruning = 0;
     if (config.edge_pruning) {
-      BlockingGraph want_graph = oracle::Graph(want, config.edge_weighting);
-      ExpectSameGraph(want_graph,
-                      BuildBlockingGraph(got, config.edge_weighting), at);
+      BlockingGraph want_graph = oracle::Graph(want);
+      ExpectSameGraph(want_graph, BuildBlockingGraph(got), at);
       comparisons = oracle::Prune(want_graph);
       before_pruning = want_graph.edges.size();
     } else {
@@ -417,8 +366,7 @@ TEST(MetaBlockingDiffTest, QuerySlicesMatchOracle) {
     for (const datagen::GeneratedDataset& dataset : GeneratedTables(seed)) {
       const Table& table = *dataset.table;
       auto tbi = TableBlockIndex::Build(table, options);
-      // Four 0.5% slices (the cold query's shape) and one 5% slice, whose
-      // larger collections span several ARCS summation chunks.
+      // Four 0.5% slices (the cold query's shape) and one 5% slice.
       for (auto [modulus, slice] :
            std::vector<std::pair<std::size_t, std::size_t>>{
                {200, 3}, {200, 71}, {200, 118}, {200, 190}, {20, 9}}) {
@@ -451,8 +399,6 @@ TEST(MetaBlockingDiffTest, WholeTableCollectionMatchesOracle) {
     block.query_entities = block.entities;
     blocks.push_back(std::move(block));
   }
-  // Several ARCS chunks even after purging and filtering.
-  ASSERT_GT(blocks.size(), 2 * 256u);
   std::size_t checked = CheckEveryConfig(ToOracle(blocks, TbiKeys(*tbi)),
                                          blocks, TbiKeys(*tbi), "whole DSD");
   EXPECT_GT(checked, 10000u) << checked;
@@ -469,19 +415,17 @@ Block MakeBlock(std::uint32_t key, std::vector<EntityId> entities,
   return b;
 }
 
-void CheckHandBuilt(const BlockCollection& blocks, const std::string& where,
-                    double filtering_ratio = kDefaultBlockFilteringRatio) {
-  CheckEveryConfig(ToOracle(blocks, IdKey), blocks, IdKey, where,
-                   filtering_ratio);
+void CheckHandBuilt(const BlockCollection& blocks, const std::string& where) {
+  CheckEveryConfig(ToOracle(blocks, IdKey), blocks, IdKey, where);
 }
 
 TEST(MetaBlockingDiffTest, EmptyCollection) {
   CheckHandBuilt({}, "empty");
-  for (const MetaBlockingConfig& config : EveryConfig()) {
+  for (const MetaBlockingConfig& config : kEveryConfig) {
     EXPECT_TRUE(RunMetaBlocking({}, config).comparisons.empty());
   }
-  EXPECT_TRUE(BlockFiltering({}, 0.5).empty());
-  EXPECT_TRUE(BuildBlockingGraph({}, EdgeWeighting::kArcs).edges.empty());
+  EXPECT_TRUE(BlockFiltering({}).empty());
+  EXPECT_TRUE(BuildBlockingGraph({}).edges.empty());
 }
 
 TEST(MetaBlockingDiffTest, BlockOfOnlyQueryEntities) {
@@ -517,8 +461,8 @@ TEST(MetaBlockingDiffTest, DuplicateQueryEntities) {
 
 TEST(MetaBlockingDiffTest, FilteringRatioRoundingAndTies) {
   // Entity 0 sits in n = 1..5 blocks whose sizes repeat (ties resolved by
-  // block order); every ratio's ceil(p * n) cut must match the oracle, also
-  // where p * n rounds up past an integer (0.6 * 5 = 3.0000000000000004).
+  // block order); every ceil(0.8 * n) cut must match the oracle, also at
+  // n = 5, where 0.8 * 5 must round to exactly 4 blocks, not 5.
   const std::vector<std::size_t> sizes = {3, 2, 3, 2, 4};
   for (std::size_t n = 1; n <= sizes.size(); ++n) {
     BlockCollection blocks;
@@ -530,13 +474,10 @@ TEST(MetaBlockingDiffTest, FilteringRatioRoundingAndTies) {
       if (b > 0) members.push_back(1);
       blocks.push_back(MakeBlock(b, members, {0}));
     }
-    for (double ratio : {0.0, 0.1, 0.2, 0.25, 0.4, 0.5, 0.6, 0.8, 0.99, 1.0}) {
-      const std::string where =
-          "n=" + std::to_string(n) + " p=" + std::to_string(ratio);
-      ExpectSameBlocks(oracle::Filter(ToOracle(blocks, IdKey), ratio),
-                       BlockFiltering(blocks, ratio), IdKey, where);
-      CheckHandBuilt(blocks, where, ratio);
-    }
+    const std::string where = "n=" + std::to_string(n);
+    ExpectSameBlocks(oracle::Filter(ToOracle(blocks, IdKey)),
+                     BlockFiltering(blocks), IdKey, where);
+    CheckHandBuilt(blocks, where);
   }
 }
 

@@ -69,43 +69,31 @@ TEST(BlockPurgingTest, ThresholdFromSizesMatchesBlockVersion) {
                    ComputePurgingThresholdFromSizes(sizes));
 }
 
-TEST(BlockFilteringTest, RatioOneKeepsEverything) {
-  BlockCollection blocks = StopWordCollection();
-  BlockCollection filtered = BlockFiltering(blocks, 1.0);
-  EXPECT_EQ(filtered.size(), blocks.size());
-}
-
 TEST(BlockFilteringTest, EntityRetainedInSmallestBlocks) {
-  // Entity 0 appears in three blocks of sizes 2, 3, 40. With ratio 0.5 it
-  // must keep ceil(0.5*3)=2 blocks: the two smallest.
+  // Entity 0 appears in five blocks of sizes 40, 2, 3, 3, 4. It must keep
+  // ceil(0.8 * 5) = 4 blocks: all but the largest.
   BlockCollection blocks;
   std::vector<EntityId> everyone;
   for (EntityId e = 0; e < 40; ++e) everyone.push_back(e);
-  constexpr std::uint32_t kBig = 0, kMid = 1, kSmall = 2;
+  constexpr std::uint32_t kBig = 0;
   blocks.push_back(MakeBlock(kBig, everyone, {0}));
-  blocks.push_back(MakeBlock(kMid, {0, 1, 2}, {0}));
-  blocks.push_back(MakeBlock(kSmall, {0, 1}, {0}));
-  BlockCollection filtered = BlockFiltering(blocks, 0.5);
-  bool saw_big = false;
+  blocks.push_back(MakeBlock(1, {0, 1}, {0}));
+  blocks.push_back(MakeBlock(2, {0, 2, 3}, {0}));
+  blocks.push_back(MakeBlock(3, {0, 4, 5}, {0}));
+  blocks.push_back(MakeBlock(4, {0, 6, 7, 8}, {0}));
+  BlockCollection filtered = BlockFiltering(blocks);
+  ASSERT_EQ(filtered.size(), 4u);
   for (const Block& b : filtered) {
-    if (b.key == kBig) {
-      saw_big = true;
-      EXPECT_EQ(std::count(b.entities.begin(), b.entities.end(), 0), 0);
-    }
+    EXPECT_NE(b.key, kBig);
+    EXPECT_EQ(b.entities.front(), 0u);
   }
-  // Entity 1 also kept only 2 of its 3 blocks; entity 0 stays in mid+small.
-  (void)saw_big;
-  auto small_it = std::find_if(filtered.begin(), filtered.end(),
-                               [](const Block& b) { return b.key == kSmall; });
-  ASSERT_NE(small_it, filtered.end());
-  EXPECT_NE(std::count(small_it->entities.begin(), small_it->entities.end(), 0), 0);
 }
 
 TEST(BlockFilteringTest, DropsBlocksWithoutQueryEntities) {
   BlockCollection blocks;
   blocks.push_back(MakeBlock(0, {0, 1}, {}));  // No query entity.
   blocks.push_back(MakeBlock(1, {2, 3}, {2}));
-  BlockCollection filtered = BlockFiltering(blocks, 0.9);
+  BlockCollection filtered = BlockFiltering(blocks);
   ASSERT_EQ(filtered.size(), 1u);
   EXPECT_EQ(filtered[0].key, 1u);
 }
@@ -115,7 +103,7 @@ TEST(BlockingGraphTest, CbsCountsSharedBlocks) {
   blocks.push_back(MakeBlock(0, {0, 1}, {0}));
   blocks.push_back(MakeBlock(1, {0, 1}, {0}));
   blocks.push_back(MakeBlock(2, {0, 2}, {0}));
-  BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kCbs);
+  BlockingGraph graph = BuildBlockingGraph(blocks);
   ASSERT_EQ(graph.edges.size(), 2u);
   // Edges sorted by pair: (0,1) weight 2, (0,2) weight 1.
   EXPECT_EQ(graph.edges[0].pair, (Comparison{0, 1}));
@@ -124,37 +112,10 @@ TEST(BlockingGraphTest, CbsCountsSharedBlocks) {
   EXPECT_DOUBLE_EQ(graph.mean_weight, 1.5);
 }
 
-TEST(BlockingGraphTest, JsNormalizesBySharedUniverse) {
-  BlockCollection blocks;
-  blocks.push_back(MakeBlock(0, {0, 1}, {0}));
-  blocks.push_back(MakeBlock(1, {0, 1}, {0}));
-  blocks.push_back(MakeBlock(2, {0, 2}, {0}));
-  BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kJs);
-  // (0,1): shared 2, |blocks(0)|=3, |blocks(1)|=2 -> 2/(3+2-2) = 2/3.
-  EXPECT_NEAR(graph.edges[0].weight, 2.0 / 3.0, 1e-9);
-  // (0,2): shared 1 -> 1/(3+1-1) = 1/3.
-  EXPECT_NEAR(graph.edges[1].weight, 1.0 / 3.0, 1e-9);
-}
-
-TEST(BlockingGraphTest, ArcsRewardsSmallBlocks) {
-  BlockCollection blocks;
-  blocks.push_back(MakeBlock(0, {0, 1}, {0}));           // ||b|| = 1.
-  blocks.push_back(MakeBlock(1, {0, 2, 3, 4, 5}, {0}));  // ||b|| = 10.
-  BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kArcs);
-  auto weight_of = [&](Comparison pair) {
-    for (const auto& edge : graph.edges) {
-      if (edge.pair == pair) return edge.weight;
-    }
-    return -1.0;
-  };
-  EXPECT_DOUBLE_EQ(weight_of({0, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(weight_of({0, 2}), 0.1);
-}
-
 TEST(BlockingGraphTest, OnlyQueryRelevantEdges) {
   BlockCollection blocks;
   blocks.push_back(MakeBlock(0, {0, 1, 2, 3}, {0}));
-  BlockingGraph graph = BuildBlockingGraph(blocks, EdgeWeighting::kCbs);
+  BlockingGraph graph = BuildBlockingGraph(blocks);
   // Only pairs touching entity 0: (0,1), (0,2), (0,3) — not (1,2) etc.
   EXPECT_EQ(graph.edges.size(), 3u);
   for (const auto& edge : graph.edges) EXPECT_EQ(edge.pair.first, 0u);
@@ -165,7 +126,7 @@ TEST(EdgePruningTest, KeepsAtOrAboveMean) {
   blocks.push_back(MakeBlock(0, {0, 1}, {0}));
   blocks.push_back(MakeBlock(1, {0, 1}, {0}));
   blocks.push_back(MakeBlock(2, {0, 2}, {0}));
-  std::vector<Comparison> kept = EdgePruning(blocks, EdgeWeighting::kCbs);
+  std::vector<Comparison> kept = EdgePruning(BuildBlockingGraph(blocks));
   // Mean = 1.5; only (0,1) with weight 2 survives.
   EXPECT_EQ(kept, (std::vector<Comparison>{{0, 1}}));
 }
@@ -174,7 +135,7 @@ TEST(EdgePruningTest, UniformWeightsKeepAll) {
   BlockCollection blocks;
   blocks.push_back(MakeBlock(0, {0, 1}, {0}));
   blocks.push_back(MakeBlock(1, {2, 3}, {2}));
-  std::vector<Comparison> kept = EdgePruning(blocks, EdgeWeighting::kCbs);
+  std::vector<Comparison> kept = EdgePruning(BuildBlockingGraph(blocks));
   EXPECT_EQ(kept.size(), 2u);
 }
 

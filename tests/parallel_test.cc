@@ -218,7 +218,7 @@ OneByOneCounts ResolveOneByOne(const Table& table,
       continue;
     }
     ++counts.executed;
-    if (kernel.Similarity(a, b) >= config.threshold) {
+    if (kernel.Similarity(a, b) >= kMatchThreshold) {
       link_index->PublishLinks({{a, b}});
       ++counts.merges;
     }

@@ -358,8 +358,8 @@ TEST(IndexSnapshotTest, RoundTripsBlockIndexAndWeights) {
   for (std::size_t b = 0; b < tbi.num_blocks(); ++b) {
     EXPECT_EQ(tbi.block_key(b), built->block_key(b));
     EXPECT_EQ(tbi.block_entities(b), built->block_entities(b));
-    // FindBlock binary-searches the restored keys.
-    EXPECT_EQ(tbi.FindBlock(tbi.block_key(b)),
+    // The restored keys ascend: a binary search finds every block.
+    EXPECT_EQ(FindBlock(tbi, tbi.block_key(b)),
               static_cast<std::int64_t>(b));
   }
   for (EntityId e = 0; e < dsd.table->num_rows(); ++e) {
@@ -419,25 +419,26 @@ TEST(IndexSnapshotTest, BuiltIndexBytesEqualOracleIndexBytes) {
 
       ASSERT_GT(built->num_blocks(), 0u) << where;
       for (std::size_t b = 0; b < built->num_blocks(); ++b) {
-        ASSERT_EQ(built->FindBlock(built->block_key(b)),
+        ASSERT_EQ(FindBlock(*built, built->block_key(b)),
                   static_cast<std::int64_t>(b))
             << where;
       }
       const std::string& first = built->block_key(0);
       const std::string& last = built->block_key(built->num_blocks() - 1);
-      EXPECT_EQ(built->FindBlock(""), -1) << where;
-      EXPECT_EQ(built->FindBlock(first.substr(0, first.size() - 1) + '\x01'),
+      EXPECT_EQ(FindBlock(*built, ""), -1) << where;
+      EXPECT_EQ(FindBlock(*built, first.substr(0, first.size() - 1) + '\x01'),
                 -1)
           << where;
-      EXPECT_EQ(built->FindBlock(last + "zz"), -1) << where;
-      EXPECT_EQ(built->FindBlock("\x7f"), -1) << where;
+      EXPECT_EQ(FindBlock(*built, last + "zz"), -1) << where;
+      EXPECT_EQ(FindBlock(*built, "\x7f"), -1) << where;
     }
   }
 }
 
 TEST(IndexSnapshotTest, UnsortedBlockKeysAreCorruption) {
-  // FindBlock's binary search needs ascending keys: a snapshot whose keys
-  // are out of order must not load.
+  // Block ids follow key order, and Block-Join's output order and Block
+  // Filtering's (size, block order) tie-break rest on it: a snapshot whose
+  // keys are out of order is no index Build produced and must not load.
   datagen::GeneratedDataset dsd = datagen::MakeDsdLike(200, 6);
   BlockingOptions blocking;
   TbiParts parts = OracleTbi(*dsd.table, blocking);

@@ -111,9 +111,9 @@ TEST(TbiBuildTest, TokenInTwoAttributesOfOneRowCountsOnce) {
                                                   {"", ""}});
   EXPECT_EQ(ExpectMatchesOracle(*table, BlockingOptions{}, "shared token"), 1u);
   auto tbi = TableBlockIndex::Build(*table, BlockingOptions{});
-  ASSERT_EQ(tbi->FindBlock("edbt"), 0);
+  ASSERT_EQ(FindBlock(*tbi, "edbt"), 0);
   EXPECT_EQ(tbi->block_entities(0), (std::vector<EntityId>{0, 1}));
-  EXPECT_EQ(tbi->FindBlock("solo"), -1);
+  EXPECT_EQ(FindBlock(*tbi, "solo"), -1);
 }
 
 TEST(TbiBuildTest, CaseVariantsAreOneKey) {
@@ -163,14 +163,14 @@ TEST(TbiBuildTest, FindBlockBinarySearch) {
   auto tbi = TableBlockIndex::Build(*dsd.table, options);
   ASSERT_GT(tbi->num_blocks(), 2u);
   for (std::size_t b = 0; b < tbi->num_blocks(); ++b) {
-    EXPECT_EQ(tbi->FindBlock(tbi->block_key(b)), static_cast<std::int64_t>(b));
+    EXPECT_EQ(FindBlock(*tbi, tbi->block_key(b)), static_cast<std::int64_t>(b));
     // A key one byte longer sorts right after block b's and is absent.
-    EXPECT_EQ(tbi->FindBlock(tbi->block_key(b) + '\x01'), -1);
+    EXPECT_EQ(FindBlock(*tbi, tbi->block_key(b) + '\x01'), -1);
   }
   // Before the first key, after the last, and empty.
-  EXPECT_EQ(tbi->FindBlock(""), -1);
-  EXPECT_EQ(tbi->FindBlock(std::string(1, '\x01')), -1);
-  EXPECT_EQ(tbi->FindBlock("\xFF\xFF"), -1);
+  EXPECT_EQ(FindBlock(*tbi, ""), -1);
+  EXPECT_EQ(FindBlock(*tbi, std::string(1, '\x01')), -1);
+  EXPECT_EQ(FindBlock(*tbi, "\xFF\xFF"), -1);
 }
 
 }  // namespace

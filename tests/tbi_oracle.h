@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blocking/token_blocking.h"
@@ -20,6 +21,24 @@
 #include "storage/table.h"
 
 namespace queryer {
+
+/// The block id of `key` in `tbi`, or -1 when the key indexes no
+/// (multi-entity) block: a binary search over the key-ordered blocks.
+inline std::int64_t FindBlock(const TableBlockIndex& tbi,
+                              std::string_view key) {
+  std::size_t lo = 0;
+  std::size_t hi = tbi.num_blocks();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (tbi.block_key(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == tbi.num_blocks() || tbi.block_key(lo) != key) return -1;
+  return static_cast<std::int64_t>(lo);
+}
 
 /// The blocking keys of one entity: the distinct lower-cased tokens of its
 /// non-excluded attribute values, sorted.
