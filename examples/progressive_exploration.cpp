@@ -43,11 +43,11 @@ int main(int argc, char** argv) {
                 "total(s)");
     int i = 0;
     for (const std::string& sql : queries) {
-      if (!keep_links) (*runtime)->ResetLinkIndex();
       // Open a streaming session and consume batches as they arrive. The
-      // clock starts before Open: a DEDUP plan resolves its entities
-      // there, so that is the cost the Link Index amortizes away.
+      // clock starts before the reset and Open: a DEDUP plan resolves its
+      // entities there, so that is the cost the Link Index amortizes away.
       queryer::Stopwatch drain;
+      if (!keep_links) (*runtime)->ResetLinkIndex();
       auto cursor = engine.ExecuteStream(sql);
       if (!cursor.ok()) {
         std::fprintf(stderr, "%s\n", cursor.status().ToString().c_str());

@@ -62,6 +62,14 @@ std::string FormatDouble(double value, int precision);
 /// \brief Parses `text` as a full double; nullopt if any trailing garbage.
 std::optional<double> ParseNumber(std::string_view text);
 
+/// \brief True iff static_cast<long long>(value) is defined: `value` is
+/// finite and lies in [-2^63, 2^63). NaN and the infinities are outside.
+inline bool FitsLongLong(double value) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  // NaN fails every comparison, so it is rejected with the infinities.
+  return value >= -kTwoTo63 && value < kTwoTo63;
+}
+
 }  // namespace queryer
 
 #endif  // QUERYER_COMMON_STRING_UTIL_H_

@@ -181,7 +181,8 @@ class QueryEngine {
 
   /// The session factory behind PreparedQuery::Open / ExecuteStream:
   /// acquires an admission slot, runs the captured mode's ER prologue
-  /// (BA cleaning), lowers the prepared plan and opens the tree. On failure the slot is released before returning.
+  /// (BA cleaning), lowers the prepared plan and opens the tree. On
+  /// failure the slot is released before returning.
   Result<CursorPtr> OpenPrepared(const PreparedQuery& prepared);
 
   /// Recovers/creates the durable Link Index files for a freshly built

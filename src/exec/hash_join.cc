@@ -11,7 +11,8 @@ std::string CanonicalJoinKey(std::string_view value) {
   std::optional<double> number = ParseNumber(value);
   if (number.has_value()) {
     // Canonical numeric form so "7", "7.0" and " 7" join.
-    if (*number == static_cast<double>(static_cast<long long>(*number))) {
+    if (FitsLongLong(*number) &&
+        *number == static_cast<double>(static_cast<long long>(*number))) {
       return "#" + std::to_string(static_cast<long long>(*number));
     }
     return "#" + std::to_string(*number);

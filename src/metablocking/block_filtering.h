@@ -1,7 +1,7 @@
 // Block Filtering (paper Sec. 4, [27]): each block has different importance
 // for each of its entities, so every entity is retained only in its
-// kBlockFilteringRatio fraction of smallest blocks. Applied per entity, unlike Block Purging
-// which removes whole blocks.
+// kBlockFilteringRatio fraction of smallest blocks. Applied per entity,
+// unlike Block Purging which removes whole blocks.
 
 #ifndef QUERYER_METABLOCKING_BLOCK_FILTERING_H_
 #define QUERYER_METABLOCKING_BLOCK_FILTERING_H_

@@ -18,12 +18,7 @@ namespace {
 // x % -1 is 0 for every x, and is computed without the division that
 // overflows at LLONG_MIN.
 bool ModNumbers(double lhs, double rhs, double* out) {
-  constexpr double kTwoTo63 = 9223372036854775808.0;
-  // NaN fails every comparison, so it is rejected with the infinities.
-  if (!(lhs >= -kTwoTo63 && lhs < kTwoTo63 && rhs >= -kTwoTo63 &&
-        rhs < kTwoTo63)) {
-    return false;
-  }
+  if (!FitsLongLong(lhs) || !FitsLongLong(rhs)) return false;
   const auto divisor = static_cast<long long>(rhs);
   if (divisor == 0) return false;
   *out = divisor == -1 ? 0.0
@@ -74,7 +69,8 @@ ExprPtr Expr::Literal(std::string text) {
 ExprPtr Expr::NumberLiteral(double value) {
   auto e = ExprPtr(new Expr(ExprKind::kLiteral));
   // Integral doubles print without a trailing ".000000".
-  if (value == static_cast<double>(static_cast<long long>(value))) {
+  if (FitsLongLong(value) &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     e->literal_.text = std::to_string(static_cast<long long>(value));
   } else {
     e->literal_.text = std::to_string(value);

@@ -468,6 +468,19 @@ TEST(ExecSemanticsTest, GroupEntitiesKeepsCaseAndNumericFormVariants) {
   EXPECT_EQ((*rows)[1].values, (std::vector<std::string>{"VLDB", "8"}));
 }
 
+// Integral keys a long long holds join in integer form; larger or
+// non-finite numbers keep std::to_string's form.
+TEST(CanonicalJoinKeyTest, NumericForms) {
+  EXPECT_EQ(CanonicalJoinKey("7.0"), "#7");
+  EXPECT_EQ(CanonicalJoinKey("-9223372036854775808"),
+            "#-9223372036854775808");
+  EXPECT_EQ(CanonicalJoinKey("7.5"), "#" + std::to_string(7.5));
+  EXPECT_EQ(CanonicalJoinKey("1e300"), "#" + std::to_string(1e300));
+  EXPECT_EQ(CanonicalJoinKey("9223372036854775808"),
+            "#" + std::to_string(9223372036854775808.0));
+  EXPECT_EQ(CanonicalJoinKey("EDBT"), "edbt");
+}
+
 // Joins compare keys through CanonicalJoinKey: numeric forms and case
 // fold together, empty keys never join.
 class JoinKeySemanticsTest : public ::testing::Test {

@@ -29,6 +29,36 @@ TEST(ParseNumberTest, FullParseOnly) {
   EXPECT_FALSE(ParseNumber("EDBT").has_value());
 }
 
+// FitsLongLong bounds the doubles whose cast to long long is defined.
+TEST(FitsLongLongTest, HalfOpenInt64Range) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(FitsLongLong(0));
+  EXPECT_TRUE(FitsLongLong(-9223372036854775808.0));
+  EXPECT_TRUE(FitsLongLong(9223372036854774784.0));
+  EXPECT_TRUE(FitsLongLong(-0.5));
+  EXPECT_FALSE(FitsLongLong(9223372036854775808.0));
+  EXPECT_FALSE(FitsLongLong(-9223372036854777856.0));
+  EXPECT_FALSE(FitsLongLong(1e300));
+  EXPECT_FALSE(FitsLongLong(inf));
+  EXPECT_FALSE(FitsLongLong(-inf));
+  EXPECT_FALSE(FitsLongLong(std::nan("")));
+}
+
+// A number literal prints as an integer only where it is one and a long
+// long holds it; other values keep std::to_string's form.
+TEST(ExprLiteralTest, NumberLiteralText) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Expr::NumberLiteral(2008)->literal().text, "2008");
+  EXPECT_EQ(Expr::NumberLiteral(-9223372036854775808.0)->literal().text,
+            "-9223372036854775808");
+  EXPECT_EQ(Expr::NumberLiteral(0.5)->literal().text, std::to_string(0.5));
+  EXPECT_EQ(Expr::NumberLiteral(1e300)->literal().text, std::to_string(1e300));
+  EXPECT_EQ(Expr::NumberLiteral(9223372036854775808.0)->literal().text,
+            std::to_string(9223372036854775808.0));
+  EXPECT_EQ(Expr::NumberLiteral(inf)->literal().text, std::to_string(inf));
+  EXPECT_EQ(*Expr::NumberLiteral(1e300)->literal().number, 1e300);
+}
+
 TEST(ExprBindTest, QualifiedAndBareNames) {
   ExprPtr qualified = Expr::Column("p", "venue");
   EXPECT_TRUE(qualified->Bind(kColumns).ok());

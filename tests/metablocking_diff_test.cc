@@ -106,8 +106,8 @@ Collection Filter(const Collection& blocks) {
                            ? blocks[a].size() < blocks[b].size()
                            : a < b;
               });
-    auto keep = static_cast<std::size_t>(
-        std::ceil(kBlockFilteringRatio * static_cast<double>(block_ids.size())));
+    auto keep = static_cast<std::size_t>(std::ceil(
+        kBlockFilteringRatio * static_cast<double>(block_ids.size())));
     if (keep == 0) keep = 1;
     if (keep > block_ids.size()) keep = block_ids.size();
     block_ids.resize(keep);
