@@ -13,11 +13,10 @@
 //   bench_server_qps [--clients=N] [--duration=S] [--threads=N]
 //
 // Defaults: 200 clients, 10 seconds. The engine is configured with one
-// admission slot per client (this bench measures the wire layer and
-// concurrent engine sessions, not admission shedding —
-// bench_concurrent_queries covers contention).
+// admission slot per client: this bench measures the wire layer and
+// concurrent engine sessions, not admission shedding.
 //
-// Output: human table + "CSV,server_qps,..." + JSON lines (BENCH_exec.json).
+// Output: human table + "CSV,server_qps,..." + JSON lines.
 
 #include <algorithm>
 #include <atomic>
@@ -55,7 +54,7 @@ void Worker(int id, std::uint16_t port, const std::atomic<bool>& stop,
             WorkerStats* out) {
   // Eight tenant ids spread across the fleet: multi-tenant bookkeeping is
   // on the hot path without any tenant ever hitting a quota (quotas are
-  // unlimited here; shedding is bench_concurrent_queries' subject).
+  // unlimited here; shedding is not this bench's subject).
   auto connected = queryer::Client::Connect(
       "127.0.0.1", port, "bench-tenant-" + std::to_string(id % 8));
   if (!connected.ok()) {
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
   auto dsd = Dsd(Scaled(kDsdRows));
   queryer::EngineOptions engine_options;
   engine_options.num_threads = Threads();
-  if (BatchSize() != 0) engine_options.batch_size = BatchSize();
   // One admission slot per client: every paginating cursor can be in
   // flight at once, so the wire layer and the sessions are what is measured.
   engine_options.max_concurrent_queries = clients;

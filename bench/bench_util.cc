@@ -13,14 +13,6 @@ namespace {
 // marks "not set yet" so the env variable is read once on first use.
 std::size_t g_threads = SIZE_MAX;
 
-// 0 = engine-default RowBatch capacity; SIZE_MAX = env not read yet.
-std::size_t g_batch_size = SIZE_MAX;
-
-// True once the count came from --threads, QUERYER_BENCH_THREADS or
-// SetThreads — as opposed to the silent default of 1. Sweep harnesses use
-// this to tell an explicit --threads=1 apart from "no preference".
-bool g_threads_explicit = false;
-
 // Set by --trace-out: every MakeEngine engine records into this sink, and
 // its destructor (static destruction at process exit) writes the JSON file.
 std::shared_ptr<TraceSink> g_trace_sink;
@@ -42,15 +34,12 @@ void WriteMetricsAtExit() {
 
 }  // namespace
 
-std::shared_ptr<TraceSink> BenchTraceSink() { return g_trace_sink; }
-
 std::size_t Threads() {
   if (g_threads == SIZE_MAX) {
     const char* env = std::getenv("QUERYER_BENCH_THREADS");
     std::size_t threads = 1;
     if (env != nullptr) {
       threads = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-      g_threads_explicit = true;
     }
     // Resolve 0 (= hardware concurrency) eagerly so CSV/JSON lines always
     // report the actual worker count, matching the --threads flag path.
@@ -58,39 +47,6 @@ std::size_t Threads() {
   }
   return g_threads;
 }
-
-bool ThreadsExplicit() {
-  Threads();  // Force the env-variable read.
-  return g_threads_explicit;
-}
-
-void SetThreads(std::size_t threads) {
-  g_threads = threads;
-  g_threads_explicit = true;
-}
-
-std::size_t BatchSize() {
-  if (g_batch_size == SIZE_MAX) {
-    const char* env = std::getenv("QUERYER_BENCH_BATCH_SIZE");
-    if (env == nullptr) {
-      g_batch_size = 0;
-    } else {
-      char* end = nullptr;
-      std::size_t batch_size =
-          static_cast<std::size_t>(std::strtoull(env, &end, 10));
-      if (end == env || *end != '\0') {
-        std::fprintf(stderr,
-                     "invalid QUERYER_BENCH_BATCH_SIZE: '%s' (want a number)\n",
-                     env);
-        std::exit(2);
-      }
-      g_batch_size = batch_size;
-    }
-  }
-  return g_batch_size;
-}
-
-void SetBatchSize(std::size_t batch_size) { g_batch_size = batch_size; }
 
 void InitBenchArgs(int* argc, char** argv) {
   int out = 1;
@@ -107,19 +63,7 @@ void InitBenchArgs(int* argc, char** argv) {
       }
       // Resolve 0 (= hardware concurrency, as in EngineOptions) right here
       // so every CSV/JSON line reports the actual worker count.
-      SetThreads(threads == 0 ? ThreadPool::HardwareConcurrency() : threads);
-    } else if (std::strncmp(argv[i], "--batch-size=", 13) == 0) {
-      const char* value = argv[i] + 13;
-      char* end = nullptr;
-      std::size_t batch_size =
-          static_cast<std::size_t>(std::strtoull(value, &end, 10));
-      if (end == value || *end != '\0') {
-        std::fprintf(stderr,
-                     "invalid --batch-size value: '%s' (want a number)\n",
-                     value);
-        std::exit(2);
-      }
-      SetBatchSize(batch_size);
+      g_threads = threads == 0 ? ThreadPool::HardwareConcurrency() : threads;
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
       const char* value = argv[i] + 12;
       if (*value == '\0') {
@@ -201,7 +145,6 @@ QueryEngine MakeEngine(const std::vector<TablePtr>& tables,
   options.mode = mode;
   options.collect_comparisons = collect_comparisons;
   options.num_threads = Threads();
-  if (BatchSize() != 0) options.batch_size = BatchSize();
   options.trace_sink = g_trace_sink;  // Null unless --trace-out was given.
   QueryEngine engine(options);
   for (const TablePtr& table : tables) {

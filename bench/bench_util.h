@@ -35,35 +35,14 @@ std::size_t Scaled(std::size_t base);
 /// count before it is ever returned or reported.
 std::size_t Threads();
 
-/// Overrides the thread count programmatically (sweep harnesses).
-void SetThreads(std::size_t threads);
-
-/// True when the thread count was set explicitly (--threads,
-/// QUERYER_BENCH_THREADS or SetThreads) rather than defaulted to 1.
-/// Sweep harnesses use this to honor an explicit --threads=N — including
-/// N = 1 — as the maximum sweep point.
-bool ThreadsExplicit();
-
-/// RowBatch capacity for engines built by MakeEngine. Set by a
-/// `--batch-size=N` argument or the QUERYER_BENCH_BATCH_SIZE environment
-/// variable; 0 (the default) keeps the engine's default capacity.
-std::size_t BatchSize();
-
-/// Overrides the batch size programmatically (sweep harnesses).
-void SetBatchSize(std::size_t batch_size);
-
-/// Session trace sink shared by every engine MakeEngine builds. Non-null
-/// only after InitBenchArgs saw a `--trace-out=FILE` argument; the Chrome
-/// trace-event JSON is written to FILE at process exit (load it in
-/// https://ui.perfetto.dev). Null = tracing off, zero overhead.
-std::shared_ptr<TraceSink> BenchTraceSink();
-
-/// Parses the shared bench flags (`--threads=N`, `--batch-size=N`,
-/// `--trace-out=FILE`, `--metrics-out=FILE`) out of argv. `--trace-out`
-/// records a session trace (see BenchTraceSink); `--metrics-out` dumps the
-/// process-wide metrics registry as JSON at exit. Unrecognized arguments
-/// are left in place and argc/argv are compacted, so harnesses with their
-/// own flag parsing can run this first.
+/// Parses the shared bench flags (`--threads=N`, `--trace-out=FILE`,
+/// `--metrics-out=FILE`) out of argv. `--trace-out` attaches one session
+/// trace sink to every engine MakeEngine builds and writes its Chrome
+/// trace-event JSON to FILE at process exit (load it in
+/// https://ui.perfetto.dev); without it tracing is off, at zero overhead.
+/// `--metrics-out` dumps the process-wide metrics registry as JSON at
+/// exit. Unrecognized arguments are left in place and argc/argv are
+/// compacted, so harnesses with their own flag parsing can run this first.
 void InitBenchArgs(int* argc, char** argv);
 
 // Baseline (scale = 1.0) dataset sizes: paper size / 20.

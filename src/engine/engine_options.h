@@ -16,7 +16,6 @@
 #include "blocking/token_blocking.h"
 #include "common/string_util.h"
 #include "exec/exec_stats.h"
-#include "exec/row_batch.h"
 #include "matching/profile_matcher.h"
 #include "metablocking/meta_blocking.h"
 #include "obs/trace.h"
@@ -81,11 +80,6 @@ struct EngineOptions {
   /// the others. 0 (default) = unlimited; the in-process API ignores this
   /// field entirely (it has no tenant notion).
   std::size_t max_concurrent_per_tenant = 0;
-  /// RowBatch capacity of the batch execution pipeline: how many rows flow
-  /// through one Next(RowBatch*) call. Query answers are identical for
-  /// every value; tiny values only add per-batch overhead. Clamped to at
-  /// least 1.
-  std::size_t batch_size = kDefaultBatchSize;
   /// Per-session deadline in seconds, measured from cursor open (which is
   /// where a DEDUP query's resolution work happens) and checked at batch
   /// boundaries — a session never aborts mid-batch. A cursor that runs

@@ -50,8 +50,8 @@ QueryCursor::QueryCursor(Semaphore* admission,
                          std::unique_ptr<ExecStats> stats,
                          std::unique_ptr<PlanProfile> profile,
                          std::shared_ptr<TraceSink> trace, OperatorPtr root,
-                         std::string plan_text, std::size_t batch_size,
-                         std::uint64_t session_id, double deadline_seconds,
+                         std::string plan_text, std::uint64_t session_id,
+                         double deadline_seconds,
                          std::chrono::steady_clock::time_point opened_at)
     : admission_(admission),
       runtimes_(std::move(runtimes)),
@@ -61,7 +61,6 @@ QueryCursor::QueryCursor(Semaphore* admission,
       profile_(std::move(profile)),
       trace_(std::move(trace)),
       plan_text_(std::move(plan_text)),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
       session_id_(session_id),
       opened_at_(opened_at),
       root_(std::move(root)) {
@@ -311,7 +310,7 @@ Result<std::vector<std::vector<std::string>>> QueryCursor::Fetch(
   ConsumerGuard guard(this);
   std::vector<std::vector<std::string>> rows;
   if (fetch_batch_ == nullptr) {
-    fetch_batch_ = std::make_unique<RowBatch>(batch_size_);
+    fetch_batch_ = std::make_unique<RowBatch>();
     fetch_pos_ = 0;
   }
   while (rows.size() < n) {

@@ -83,9 +83,9 @@ class QueryCursor {
   const std::vector<std::string>& columns() const { return columns_; }
   /// The logical plan this session executes.
   const std::string& plan_text() const { return plan_text_; }
-  /// The engine's configured RowBatch capacity — the natural size for the
-  /// batch handed to Next.
-  std::size_t batch_size() const { return batch_size_; }
+  /// kDefaultBatchSize, the natural capacity for the batch handed to Next
+  /// (Next fills whatever capacity the caller's batch has).
+  std::size_t batch_size() const { return kDefaultBatchSize; }
 
   /// Pulls the next batch of the answer into `batch` (cleared first).
   /// Returns false at end of stream; a true return with an empty batch is
@@ -151,8 +151,8 @@ class QueryCursor {
               std::unique_ptr<ExecStats> stats,
               std::unique_ptr<PlanProfile> profile,
               std::shared_ptr<TraceSink> trace, OperatorPtr root,
-              std::string plan_text, std::size_t batch_size,
-              std::uint64_t session_id, double deadline_seconds,
+              std::string plan_text, std::uint64_t session_id,
+              double deadline_seconds,
               std::chrono::steady_clock::time_point opened_at);
 
   /// The batch-boundary admission check: OK, or the sticky terminal
@@ -192,7 +192,6 @@ class QueryCursor {
   std::shared_ptr<TraceSink> trace_;  // Null = tracing off.
   std::vector<std::string> columns_;
   std::string plan_text_;
-  std::size_t batch_size_;
   std::uint64_t session_id_ = 0;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};

@@ -32,7 +32,8 @@ QueryEngine::QueryEngine(EngineOptions options)
       statistics_(std::make_unique<StatisticsCache>()) {
   admission_ = std::make_unique<Semaphore>(options_.max_concurrent_queries);
   // Sessions blocked on admission show up in the process-wide wait
-  // histogram (bench_concurrent_queries reports its quantiles).
+  // histogram (queryer_admission_wait_seconds; the metrics export reports
+  // its quantiles).
   admission_->set_wait_histogram(GlobalEngineMetrics().admission_wait);
   std::size_t threads = options_.num_threads == 0
                             ? ThreadPool::HardwareConcurrency()
@@ -301,8 +302,7 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   // is one steady_clock read pair per operator call.
   auto profile = std::make_unique<PlanProfile>();
   Executor executor(&catalog_, &runtimes_, stats.get(), pool_.get(),
-                    options.batch_size, profile.get(),
-                    options.trace_sink, std::move(cancel_ctx));
+                    profile.get(), options.trace_sink, std::move(cancel_ctx));
   Result<OperatorPtr> root = executor.Lower(*prepared.plan_);
   if (!root.ok()) return root.status();
   // The tree is handed over UN-opened: the cursor opens it lazily at the
@@ -317,8 +317,8 @@ Result<CursorPtr> QueryEngine::OpenPrepared(const PreparedQuery& prepared) {
   CursorPtr cursor(new QueryCursor(
       admission_.get(), prepared.involved_, pool_, std::move(cancel),
       std::move(stats), std::move(profile), options.trace_sink,
-      root.MoveValueUnsafe(), prepared.plan_text_, options.batch_size,
-      executor.session_id(), options.default_query_deadline, opened_at));
+      root.MoveValueUnsafe(), prepared.plan_text_, executor.session_id(),
+      options.default_query_deadline, opened_at));
   slot.Disarm();  // The cursor owns the slot now.
   return cursor;
 }

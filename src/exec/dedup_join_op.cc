@@ -37,7 +37,6 @@ DedupJoinOp::DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
                          ExprPtr right_key, DirtySide dirty_side,
                          std::shared_ptr<TableRuntime> dirty_runtime,
                          ExecStats* stats, ThreadPool* pool,
-                         std::size_t batch_size,
                          std::shared_ptr<TraceSink> trace,
                          std::shared_ptr<const CancelContext> cancel)
     : left_(std::move(left)),
@@ -48,7 +47,6 @@ DedupJoinOp::DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
       dirty_runtime_(std::move(dirty_runtime)),
       stats_(stats),
       pool_(pool),
-      batch_size_(batch_size),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)) {
   QUERYER_CHECK(left_key_->kind() == ExprKind::kColumn &&
@@ -73,8 +71,8 @@ Status DedupJoinOp::OpenImpl() {
 Status DedupJoinOp::BuildOutput() {
   ReferenceRows left;
   ReferenceRows right;
-  QUERYER_RETURN_NOT_OK(DrainReferences(left_.get(), batch_size_, &left));
-  QUERYER_RETURN_NOT_OK(DrainReferences(right_.get(), batch_size_, &right));
+  QUERYER_RETURN_NOT_OK(DrainReferences(left_.get(), &left));
+  QUERYER_RETURN_NOT_OK(DrainReferences(right_.get(), &right));
   const std::size_t left_key = left_key_->bound_index();
   const std::size_t right_key = right_key_->bound_index();
   JoinKeyIds keys;

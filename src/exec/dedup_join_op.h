@@ -35,13 +35,12 @@ namespace queryer {
 class DedupJoinOp final : public PhysicalOperator {
  public:
   /// `pool` parallelizes the dirty side's comparison execution (null =
-  /// sequential); `batch_size` sizes the batches draining both children;
-  /// `trace` (may be null) receives the dirty side's ER-stage spans.
+  /// sequential); `trace` (may be null) receives the dirty side's ER-stage
+  /// spans.
   DedupJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
               ExprPtr right_key, DirtySide dirty_side,
               std::shared_ptr<TableRuntime> dirty_runtime, ExecStats* stats,
               ThreadPool* pool = nullptr,
-              std::size_t batch_size = kDefaultBatchSize,
               std::shared_ptr<TraceSink> trace = nullptr,
               std::shared_ptr<const CancelContext> cancel = nullptr);
 
@@ -60,7 +59,6 @@ class DedupJoinOp final : public PhysicalOperator {
   std::shared_ptr<TableRuntime> dirty_runtime_;
   ExecStats* stats_;
   ThreadPool* pool_;
-  std::size_t batch_size_;
   std::shared_ptr<TraceSink> trace_;
   std::shared_ptr<const CancelContext> cancel_;
 

@@ -7,7 +7,6 @@ namespace queryer {
 DeduplicateOp::DeduplicateOp(OperatorPtr child,
                              std::shared_ptr<TableRuntime> runtime,
                              ExecStats* stats, ThreadPool* pool,
-                             std::size_t batch_size,
                              std::shared_ptr<TraceSink> trace,
                              std::shared_ptr<const CancelContext> cancel)
     : child_(std::move(child)),
@@ -15,7 +14,6 @@ DeduplicateOp::DeduplicateOp(OperatorPtr child,
       lineage_({&runtime_->table()}),
       stats_(stats),
       pool_(pool),
-      batch_size_(batch_size),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)) {
   // DR_E rows come from the base table, so the child must expose all of its
@@ -32,7 +30,7 @@ Status DeduplicateOp::OpenImpl() {
   QUERYER_RETURN_NOT_OK(child_->Open());
   std::vector<EntityId> query_entities;
   {
-    RowBatch batch(batch_size_ == 0 ? 1 : batch_size_);
+    RowBatch batch;
     while (true) {
       QUERYER_ASSIGN_OR_RETURN(bool has, child_->Next(&batch));
       if (!has) break;

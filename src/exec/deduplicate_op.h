@@ -21,12 +21,11 @@ namespace queryer {
 class DeduplicateOp final : public PhysicalOperator {
  public:
   /// `pool` parallelizes comparison execution (null = sequential);
-  /// `batch_size` sizes the batches draining the child; `trace` (may be
-  /// null) receives the ER-stage spans; `cancel` (may be null) lets the
-  /// session's Cancel() / deadline pre-empt the Open-time resolution.
+  /// `trace` (may be null) receives the ER-stage spans; `cancel` (may be
+  /// null) lets the session's Cancel() / deadline pre-empt the Open-time
+  /// resolution.
   DeduplicateOp(OperatorPtr child, std::shared_ptr<TableRuntime> runtime,
                 ExecStats* stats, ThreadPool* pool = nullptr,
-                std::size_t batch_size = kDefaultBatchSize,
                 std::shared_ptr<TraceSink> trace = nullptr,
                 std::shared_ptr<const CancelContext> cancel = nullptr);
 
@@ -40,7 +39,6 @@ class DeduplicateOp final : public PhysicalOperator {
   Lineage lineage_;
   ExecStats* stats_;
   ThreadPool* pool_;
-  std::size_t batch_size_;
   std::shared_ptr<TraceSink> trace_;
   std::shared_ptr<const CancelContext> cancel_;
 

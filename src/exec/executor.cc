@@ -54,14 +54,13 @@ OperatorCategory CategoryOf(PlanKind kind) {
 }  // namespace
 
 Executor::Executor(const Catalog* catalog, RuntimeRegistry* runtimes,
-                   ExecStats* stats, ThreadPool* pool, std::size_t batch_size,
-                   PlanProfile* profile, std::shared_ptr<TraceSink> trace,
+                   ExecStats* stats, ThreadPool* pool, PlanProfile* profile,
+                   std::shared_ptr<TraceSink> trace,
                    std::shared_ptr<const CancelContext> cancel)
     : catalog_(catalog),
       runtimes_(runtimes),
       stats_(stats),
       pool_(pool),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
       profile_(profile),
       trace_(std::move(trace)),
       cancel_(std::move(cancel)),
@@ -124,8 +123,7 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
                                LowerNode(*plan.children[0], node));
       ExprPtr predicate = plan.predicate->Clone();
       QUERYER_RETURN_NOT_OK(predicate->Bind(child->output_columns()));
-      OperatorPtr op(new GroupFilterOp(std::move(child), std::move(predicate),
-                                       batch_size_));
+      OperatorPtr op(new GroupFilterOp(std::move(child), std::move(predicate)));
       op->set_profile(node);
       return op;
     }
@@ -159,8 +157,7 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
                                          right->output_columns(), &left_key,
                                          &right_key));
       OperatorPtr op(new HashJoinOp(std::move(left), std::move(right),
-                                    std::move(left_key), std::move(right_key),
-                                    batch_size_));
+                                    std::move(left_key), std::move(right_key)));
       op->set_profile(node);
       return op;
     }
@@ -171,8 +168,7 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       QUERYER_ASSIGN_OR_RETURN(std::shared_ptr<TableRuntime> runtime,
                                FindRuntime(*runtimes_, plan.table_name));
       OperatorPtr op(new DeduplicateOp(std::move(child), std::move(runtime),
-                                       stats_, pool_, batch_size_, trace_,
-                                       cancel_));
+                                       stats_, pool_, trace_, cancel_));
       op->set_profile(node);
       return op;
     }
@@ -195,7 +191,7 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       OperatorPtr op(new DedupJoinOp(
           std::move(left), std::move(right), std::move(left_key),
           std::move(right_key), plan.dirty_side, std::move(runtime), stats_,
-          pool_, batch_size_, trace_, cancel_));
+          pool_, trace_, cancel_));
       op->set_profile(node);
       return op;
     }
@@ -203,8 +199,7 @@ Result<OperatorPtr> Executor::LowerNode(const LogicalPlan& plan,
       OperatorProfile* node = MakeNode(plan, parent);
       QUERYER_ASSIGN_OR_RETURN(OperatorPtr child,
                                LowerNode(*plan.children[0], node));
-      OperatorPtr op(
-          new GroupEntitiesOp(std::move(child), stats_, batch_size_, trace_));
+      OperatorPtr op(new GroupEntitiesOp(std::move(child), stats_, trace_));
       op->set_profile(node);
       return op;
     }

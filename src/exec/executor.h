@@ -37,18 +37,15 @@ class Executor {
  public:
   /// `pool` is handed to the ER operators for their comparison execution
   /// (null = sequential execution, the default for direct construction).
-  /// `batch_size` is the RowBatch capacity of the whole pipeline
-  /// (EngineOptions::batch_size). `profile` (may be null) receives one
-  /// OperatorProfile node per lowered operator, mirroring the plan tree —
-  /// the substrate of EXPLAIN ANALYZE. `trace` (may be null) is this
-  /// session's trace sink, plumbed into the operators that emit spans.
+  /// `profile` (may be null) receives one OperatorProfile node per lowered
+  /// operator, mirroring the plan tree — the substrate of EXPLAIN ANALYZE.
+  /// `trace` (may be null) is this session's trace sink, plumbed into the
+  /// operators that emit spans.
   /// `cancel` (may be null) is the session's CancelContext — cancel flag +
   /// deadline — handed to the ER operators, whose comparison loops poll it
   /// so Cancel() / deadlines pre-empt resolution.
   Executor(const Catalog* catalog, RuntimeRegistry* runtimes, ExecStats* stats,
-           ThreadPool* pool = nullptr,
-           std::size_t batch_size = kDefaultBatchSize,
-           PlanProfile* profile = nullptr,
+           ThreadPool* pool = nullptr, PlanProfile* profile = nullptr,
            std::shared_ptr<TraceSink> trace = nullptr,
            std::shared_ptr<const CancelContext> cancel = nullptr);
 
@@ -82,7 +79,6 @@ class Executor {
   RuntimeRegistry* runtimes_;
   ExecStats* stats_;
   ThreadPool* pool_;
-  std::size_t batch_size_;
   PlanProfile* profile_;
   std::shared_ptr<TraceSink> trace_;
   std::shared_ptr<const CancelContext> cancel_;

@@ -8,18 +8,14 @@
 namespace queryer {
 
 GroupEntitiesOp::GroupEntitiesOp(OperatorPtr child, ExecStats* stats,
-                                 std::size_t batch_size,
                                  std::shared_ptr<TraceSink> trace)
-    : child_(std::move(child)),
-      stats_(stats),
-      batch_size_(batch_size),
-      trace_(std::move(trace)) {
+    : child_(std::move(child)), stats_(stats), trace_(std::move(trace)) {
   output_columns_ = child_->output_columns();
 }
 
 Status GroupEntitiesOp::OpenImpl() {
   ReferenceRows input;
-  QUERYER_RETURN_NOT_OK(DrainReferences(child_.get(), batch_size_, &input));
+  QUERYER_RETURN_NOT_OK(DrainReferences(child_.get(), &input));
   Stopwatch watch;
   TraceSpan span(trace_.get(), "group", "er");
 

@@ -15,13 +15,12 @@ namespace queryer {
 /// \brief Physical Group-Entities operator. Buffers the child's entity
 /// references, groups them by group key (first-appearance order) and emits
 /// one owned, fused row per group; the fused strings are the only values it
-/// builds. `batch_size` sizes the batches draining the child.
+/// builds.
 class GroupEntitiesOp final : public PhysicalOperator {
  public:
   /// `stats` receives the group timing; `trace` (may be null) receives the
   /// "group" span.
   GroupEntitiesOp(OperatorPtr child, ExecStats* stats,
-                  std::size_t batch_size = kDefaultBatchSize,
                   std::shared_ptr<TraceSink> trace = nullptr);
 
   Status OpenImpl() override;
@@ -34,7 +33,6 @@ class GroupEntitiesOp final : public PhysicalOperator {
  private:
   OperatorPtr child_;
   ExecStats* stats_;
-  std::size_t batch_size_;
   std::shared_ptr<TraceSink> trace_;
   std::vector<std::vector<std::string>> output_;  // One fused row per group.
   std::size_t position_ = 0;

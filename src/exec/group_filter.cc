@@ -6,18 +6,15 @@
 
 namespace queryer {
 
-GroupFilterOp::GroupFilterOp(OperatorPtr child, ExprPtr predicate,
-                             std::size_t batch_size)
-    : child_(std::move(child)),
-      predicate_(std::move(predicate)),
-      batch_size_(batch_size) {
+GroupFilterOp::GroupFilterOp(OperatorPtr child, ExprPtr predicate)
+    : child_(std::move(child)), predicate_(std::move(predicate)) {
   output_columns_ = child_->output_columns();
   QUERYER_CHECK(predicate_->IsBound());
 }
 
 Status GroupFilterOp::OpenImpl() {
   ReferenceRows input;
-  QUERYER_RETURN_NOT_OK(DrainReferences(child_.get(), batch_size_, &input));
+  QUERYER_RETURN_NOT_OK(DrainReferences(child_.get(), &input));
   std::unordered_set<std::uint64_t> passing_groups;
   for (std::size_t r = 0; r < input.size(); ++r) {
     if (predicate_->EvalBoolFast(input.lineage.Ref(input.row(r)))) {

@@ -17,11 +17,10 @@
 namespace queryer {
 
 /// \brief Blocking duplicate-group filter: buffers its input as entity
-/// references. `batch_size` sizes the batches draining the child.
+/// references.
 class GroupFilterOp final : public PhysicalOperator {
  public:
-  GroupFilterOp(OperatorPtr child, ExprPtr predicate,
-                std::size_t batch_size = kDefaultBatchSize);
+  GroupFilterOp(OperatorPtr child, ExprPtr predicate);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* batch) override;
@@ -30,7 +29,6 @@ class GroupFilterOp final : public PhysicalOperator {
  private:
   OperatorPtr child_;
   ExprPtr predicate_;
-  std::size_t batch_size_;
   ReferenceRows output_;
   std::size_t position_ = 0;
 };

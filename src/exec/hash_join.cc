@@ -47,12 +47,11 @@ std::uint32_t JoinKeyIds::Of(const Lineage& lineage, const EntityId* ids,
 }
 
 HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
-                       ExprPtr right_key, std::size_t batch_size)
+                       ExprPtr right_key)
     : left_(std::move(left)),
       right_(std::move(right)),
       left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)),
-      batch_size_(batch_size == 0 ? 1 : batch_size) {
+      right_key_(std::move(right_key)) {
   QUERYER_CHECK(left_key_->kind() == ExprKind::kColumn &&
                 left_key_->IsBound());
   QUERYER_CHECK(right_key_->kind() == ExprKind::kColumn &&
@@ -67,7 +66,7 @@ Status HashJoinOp::OpenImpl() {
   QUERYER_RETURN_NOT_OK(left_->Open());
   keys_ = JoinKeyIds();
   build_ = ReferenceRows();
-  QUERYER_RETURN_NOT_OK(DrainReferences(right_.get(), batch_size_, &build_));
+  QUERYER_RETURN_NOT_OK(DrainReferences(right_.get(), &build_));
   // Bucket the build rows by key id, each bucket in build-side order. NULL
   // keys never join.
   std::vector<std::uint32_t> row_keys(build_.size());

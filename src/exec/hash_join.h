@@ -56,11 +56,10 @@ class JoinKeyIds {
 /// by key id. Probing pulls left batches and emits the joined references,
 /// suspending mid-bucket when the output batch fills, so output follows
 /// probe order, and within one probe row the build side's order.
-/// `batch_size` sizes the build-side drain batches.
 class HashJoinOp final : public PhysicalOperator {
  public:
   HashJoinOp(OperatorPtr left, OperatorPtr right, ExprPtr left_key,
-             ExprPtr right_key, std::size_t batch_size = kDefaultBatchSize);
+             ExprPtr right_key);
 
   Status OpenImpl() override;
   Result<bool> NextImpl(RowBatch* batch) override;
@@ -71,7 +70,6 @@ class HashJoinOp final : public PhysicalOperator {
   OperatorPtr right_;
   ExprPtr left_key_;
   ExprPtr right_key_;
-  std::size_t batch_size_;
 
   JoinKeyIds keys_;
   ReferenceRows build_;

@@ -34,10 +34,9 @@ Buckets::Buckets(const std::vector<std::uint32_t>& bucket_of,
   }
 }
 
-Status DrainReferences(PhysicalOperator* op, std::size_t batch_size,
-                       ReferenceRows* out) {
+Status DrainReferences(PhysicalOperator* op, ReferenceRows* out) {
   QUERYER_RETURN_NOT_OK(op->Open());
-  RowBatch batch(batch_size);
+  RowBatch batch;
   while (true) {
     QUERYER_ASSIGN_OR_RETURN(bool has, op->Next(&batch));
     if (!has) break;

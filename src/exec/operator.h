@@ -1,7 +1,7 @@
 // The batch iterator interface all physical operators implement. The paper's
 // pipelining architecture (Sec. 7.2.2) is kept, but the unit of flow between
 // operators is a RowBatch instead of a single Row: one virtual call moves up
-// to EngineOptions::batch_size tuples (MonetDB/X100-style vectorization), so
+// to batch->capacity() tuples (MonetDB/X100-style vectorization), so
 // the per-tuple interpretation overhead of the classic Volcano protocol is
 // amortized over the batch.
 //
@@ -141,10 +141,9 @@ struct Buckets {
 };
 
 /// \brief Drains `op` (Open / Next* / Close) into `out`, pulling batches of
-/// `batch_size` rows. Fails with ExecutionError on owned (projected) rows,
-/// which reference no entity.
-Status DrainReferences(PhysicalOperator* op, std::size_t batch_size,
-                       ReferenceRows* out);
+/// kDefaultBatchSize rows. Fails with ExecutionError on owned (projected)
+/// rows, which reference no entity.
+Status DrainReferences(PhysicalOperator* op, ReferenceRows* out);
 
 }  // namespace queryer
 

@@ -33,8 +33,10 @@
 
 namespace queryer {
 
-/// Default RowBatch capacity (EngineOptions::batch_size): large enough to
-/// amortize per-batch costs, small enough to stay cache-resident.
+/// Default RowBatch capacity, used by the operators' internal drains and by
+/// QueryCursor::Fetch: large enough to amortize per-batch costs, small
+/// enough to stay cache-resident. Every other batch size is the consumer's
+/// RowBatch capacity.
 inline constexpr std::size_t kDefaultBatchSize = 1024;
 
 /// Sentinel for rows that do not map to a single base-table entity (join

@@ -42,11 +42,7 @@ class TableRuntime {
   const MetaBlockingConfig& meta_blocking_config() const {
     return meta_blocking_;
   }
-  void set_meta_blocking_config(const MetaBlockingConfig& config) {
-    meta_blocking_ = config;
-  }
   const MatchingConfig& matching_config() const { return matching_; }
-  void set_matching_config(const MatchingConfig& config) { matching_ = config; }
 
   /// Pool for the table's data-parallel phases (meta-blocking,
   /// comparison execution). Null means sequential; the engine wires its

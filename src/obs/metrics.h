@@ -54,8 +54,7 @@ class Gauge {
 
 /// \brief Consistent point-in-time copy of a histogram, with percentile
 /// estimation. Subtract two snapshots (Since) to get the distribution of a
-/// bounded interval — bench_concurrent_queries reports per-point admission
-/// wait this way.
+/// bounded interval.
 struct HistogramSnapshot {
   std::vector<std::uint64_t> buckets;  // One count per bucket.
   std::uint64_t count = 0;

@@ -2,8 +2,8 @@
 // TableBuilder/ColumnView/ValueAt API, TablePredicate's truth-table and
 // cardinality-gate paths, reference-mode RowBatches (one-table and join
 // rows), the QueryResult accessors, and the end-to-end determinism
-// contract — scan, join and DEDUP answers are bit-identical across the
-// num_threads x batch_size matrix.
+// contract — scan, join and DEDUP answers are bit-identical across
+// num_threads.
 
 #include <gtest/gtest.h>
 
@@ -342,9 +342,8 @@ TEST(QueryResultTest, AccessorsReadRows) {
 
 std::vector<std::vector<std::string>> RunSql(
     const std::vector<TablePtr>& tables, const std::string& sql,
-    std::size_t batch_size, std::size_t num_threads) {
+    std::size_t num_threads) {
   EngineOptions options;
-  options.batch_size = batch_size;
   options.num_threads = num_threads;
   QueryEngine engine(options);
   for (const TablePtr& table : tables) {
@@ -385,17 +384,14 @@ datagen::GeneratedDataset* ColumnarSweepTest::oagp_ = nullptr;
 datagen::GeneratedDataset* ColumnarSweepTest::oagv_ = nullptr;
 
 constexpr std::size_t kThreads[] = {1, 4};
-constexpr std::size_t kBatchSizes[] = {1, 7, 1024};
 
 TEST_F(ColumnarSweepTest, ScanAnswersAreIdenticalAcrossMatrix) {
   const std::string sql = "SELECT * FROM dsd WHERE MOD(id, 100) < 30";
-  const auto reference = RunSql({dsd_->table}, sql, 1024, 1);
+  const auto reference = RunSql({dsd_->table}, sql, 1);
   ASSERT_FALSE(reference.empty());
   for (std::size_t num_threads : kThreads) {
-    for (std::size_t batch_size : kBatchSizes) {
-      EXPECT_EQ(RunSql({dsd_->table}, sql, batch_size, num_threads), reference)
-          << "threads=" << num_threads << " batch=" << batch_size;
-    }
+    EXPECT_EQ(RunSql({dsd_->table}, sql, num_threads), reference)
+        << "threads=" << num_threads;
   }
 }
 
@@ -403,28 +399,23 @@ TEST_F(ColumnarSweepTest, JoinAnswersAreIdenticalAcrossMatrix) {
   const std::string sql =
       "SELECT oagp.title, oagv.rank FROM oagp "
       "INNER JOIN oagv ON oagp.venue = oagv.title";
-  const auto reference = RunSql({oagp_->table, oagv_->table}, sql, 1024, 1);
+  const auto reference = RunSql({oagp_->table, oagv_->table}, sql, 1);
   ASSERT_FALSE(reference.empty());
   for (std::size_t num_threads : kThreads) {
-    for (std::size_t batch_size : kBatchSizes) {
-      EXPECT_EQ(RunSql({oagp_->table, oagv_->table}, sql, batch_size,
-                       num_threads),
-                reference)
-          << "threads=" << num_threads << " batch=" << batch_size;
-    }
+    EXPECT_EQ(RunSql({oagp_->table, oagv_->table}, sql, num_threads),
+              reference)
+        << "threads=" << num_threads;
   }
 }
 
 TEST_F(ColumnarSweepTest, DedupAnswersAreIdenticalAcrossMatrix) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10";
-  const auto reference = RunSql({dsd_->table}, sql, 1024, 1);
+  const auto reference = RunSql({dsd_->table}, sql, 1);
   ASSERT_FALSE(reference.empty());
   for (std::size_t num_threads : kThreads) {
-    for (std::size_t batch_size : kBatchSizes) {
-      EXPECT_EQ(RunSql({dsd_->table}, sql, batch_size, num_threads), reference)
-          << "threads=" << num_threads << " batch=" << batch_size;
-    }
+    EXPECT_EQ(RunSql({dsd_->table}, sql, num_threads), reference)
+        << "threads=" << num_threads;
   }
 }
 

@@ -461,16 +461,19 @@ TEST(ConcurrentSessionsTest, RacingColdStartWarmup) {
   }
 }
 
-// The determinism regression of the issue: the same workload at
-// num_threads in {1,4} x concurrent clients in {1,4} must produce
-// identical per-query answers and an identical final link count.
+// The same workload at num_threads in {1,4} x concurrent clients in
+// {1,2,4} must produce identical per-query answers and an identical final
+// link count. The eight windows run twice, so the second round reads what
+// the first published while other clients may still be resolving.
 TEST(ConcurrentSessionsTest, DeterminismMatrix) {
   TablePtr cliq = MakeCliqueTable(20, 4);
   std::vector<std::string> queries;
-  for (int q = 0; q < 8; ++q) {
-    std::string a = std::to_string(2 * q), b = std::to_string(2 * q + 3);
-    queries.push_back("SELECT DEDUP name, city FROM cliq WHERE city IN "
-                      "('city" + a + "', 'city" + b + "')");
+  for (int round = 0; round < 2; ++round) {
+    for (int q = 0; q < 8; ++q) {
+      std::string a = std::to_string(2 * q), b = std::to_string(2 * q + 3);
+      queries.push_back("SELECT DEDUP name, city FROM cliq WHERE city IN "
+                        "('city" + a + "', 'city" + b + "')");
+    }
   }
 
   std::size_t baseline_links = 0;
@@ -479,7 +482,8 @@ TEST(ConcurrentSessionsTest, DeterminismMatrix) {
   EXPECT_GT(baseline_links, 0u);
 
   for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-    for (std::size_t clients : {std::size_t{1}, std::size_t{4}}) {
+    for (std::size_t clients :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       std::size_t links = 0;
       std::vector<RunOutcome> outcomes =
           RunConcurrent({cliq}, queries, CliqueOptions(clients, num_threads),

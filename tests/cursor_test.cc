@@ -1,7 +1,7 @@
 // The streaming query-session API: Prepare/Open/Next cursors must produce
-// bit-identical answers to Execute at every num_threads x batch_size (which
-// is trivially true for Execute itself — it IS a cursor drain — so the
-// matrix here drives an explicit client-side Next loop), and the session
+// bit-identical answers to Execute at every num_threads x consumer batch
+// capacity (Execute is itself a cursor drain at the default capacity, so
+// the matrix here drives an explicit client-side Next loop), and the session
 // lifecycle must hold: an abandoned or cancelled cursor releases its
 // admission slot and leaves no ResolutionCoordinator claim behind, so a
 // second client's query completes; a cross-thread Cancel() during a
@@ -28,11 +28,9 @@ namespace {
 using Rows = std::vector<std::vector<std::string>>;
 
 std::unique_ptr<QueryEngine> MakeEngine(
-    const std::vector<TablePtr>& tables, std::size_t batch_size = 0,
-    std::size_t num_threads = 1, std::size_t max_concurrent = 1,
-    double deadline = 0) {
+    const std::vector<TablePtr>& tables, std::size_t num_threads = 1,
+    std::size_t max_concurrent = 1, double deadline = 0) {
   EngineOptions options;
-  if (batch_size != 0) options.batch_size = batch_size;
   options.num_threads = num_threads;
   options.max_concurrent_queries = max_concurrent;
   options.default_query_deadline = deadline;
@@ -43,10 +41,12 @@ std::unique_ptr<QueryEngine> MakeEngine(
   return engine;
 }
 
-// Drains a cursor through an explicit client-side Next loop.
-Rows DrainCursor(QueryCursor* cursor) {
+// Drains a cursor through an explicit client-side Next loop, pulling
+// batches of `capacity` rows.
+Rows DrainCursor(QueryCursor* cursor,
+                 std::size_t capacity = kDefaultBatchSize) {
   Rows rows;
-  RowBatch batch(cursor->batch_size());
+  RowBatch batch(capacity);
   while (true) {
     auto has = cursor->Next(&batch);
     EXPECT_TRUE(has.ok()) << has.status().ToString();
@@ -92,8 +92,10 @@ datagen::GeneratedDataset* CursorTest::oagp_ = nullptr;
 datagen::GeneratedDataset* CursorTest::oagv_ = nullptr;
 
 // Cursor answers == Execute answers, bit for bit, across the whole
-// num_threads x batch_size matrix, for every pipeline shape (scan+filter,
-// hash join, full DEDUP).
+// num_threads x consumer batch capacity matrix, for every pipeline shape
+// (scan+filter, hash join, full DEDUP). Project and the join size their
+// child batches from the consumer's, so capacity 1 runs the pipeline row
+// at a time.
 TEST_F(CursorTest, CursorMatchesExecuteAcrossThreadsAndBatchSizes) {
   struct Case {
     std::vector<TablePtr> tables;
@@ -108,18 +110,17 @@ TEST_F(CursorTest, CursorMatchesExecuteAcrossThreadsAndBatchSizes) {
   };
   for (const Case& c : cases) {
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch_size : {std::size_t{1}, std::size_t{7},
-                                     std::size_t{1024}}) {
-        auto execute_engine = MakeEngine(c.tables, batch_size, num_threads);
-        auto result = execute_engine->Execute(c.sql);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-        auto cursor_engine = MakeEngine(c.tables, batch_size, num_threads);
+      auto execute_engine = MakeEngine(c.tables, num_threads);
+      auto result = execute_engine->Execute(c.sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      for (std::size_t capacity : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{1024}}) {
+        auto cursor_engine = MakeEngine(c.tables, num_threads);
         auto cursor = cursor_engine->ExecuteStream(c.sql);
         ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-        Rows streamed = DrainCursor(cursor->get());
+        Rows streamed = DrainCursor(cursor->get(), capacity);
         EXPECT_EQ(streamed, result->rows)
-            << c.sql << " threads=" << num_threads << " batch=" << batch_size;
+            << c.sql << " threads=" << num_threads << " batch=" << capacity;
       }
     }
   }
@@ -211,10 +212,10 @@ TEST_F(CursorTest, FetchReturnsRowsInOrder) {
 // max_concurrent_queries == 1, a second query on the same engine would
 // block forever (the ctest timeout would kill us) if the slot leaked.
 TEST_F(CursorTest, EarlyCloseReleasesAdmissionSlot) {
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/64);
+  auto engine = MakeEngine({dsd_->table});
   auto cursor = engine->ExecuteStream("SELECT * FROM dsd");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  RowBatch batch((*cursor)->batch_size());
+  RowBatch batch(64);
   auto has = (*cursor)->Next(&batch);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
@@ -230,13 +231,12 @@ TEST_F(CursorTest, EarlyCloseReleasesAdmissionSlot) {
 // join build table, ER state) leaks nothing.
 TEST_F(CursorTest, AbandonedCursorDestructorReleasesEverything) {
   for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-    auto engine = MakeEngine({oagp_->table, oagv_->table}, /*batch_size=*/64,
-                             num_threads);
+    auto engine = MakeEngine({oagp_->table, oagv_->table}, num_threads);
     {
       auto cursor = engine->ExecuteStream(
           "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title");
       ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-      RowBatch batch((*cursor)->batch_size());
+      RowBatch batch(64);
       auto has = (*cursor)->Next(&batch);
       ASSERT_TRUE(has.ok());
       // Drop the cursor mid-stream with the probe half done.
@@ -256,12 +256,12 @@ TEST_F(CursorTest, EarlyCloseLeavesNoCoordinatorClaims) {
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10");
   ASSERT_TRUE(reference.ok());
 
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16, /*num_threads=*/1,
+  auto engine = MakeEngine({dsd_->table}, /*num_threads=*/1,
                            /*max_concurrent=*/2);
   auto cursor = engine->ExecuteStream(
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  RowBatch batch((*cursor)->batch_size());
+  RowBatch batch(16);
   auto has = (*cursor)->Next(&batch);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
@@ -279,10 +279,10 @@ TEST_F(CursorTest, EarlyCloseLeavesNoCoordinatorClaims) {
 // Cancel() from the consuming thread: sticky kCancelled at the next batch
 // boundary, and the session's resources are released.
 TEST_F(CursorTest, CancelSurfacesCancelledStatus) {
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16);
+  auto engine = MakeEngine({dsd_->table});
   auto cursor = engine->ExecuteStream("SELECT * FROM dsd");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  RowBatch batch((*cursor)->batch_size());
+  RowBatch batch(16);
   auto has = (*cursor)->Next(&batch);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
@@ -309,8 +309,8 @@ TEST_F(CursorTest, CancelDuringScanAndProbeIsClean) {
       "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title",
   };
   for (const std::string& sql : queries) {
-    auto engine = MakeEngine({oagp_->table, oagv_->table}, /*batch_size=*/32,
-                             /*num_threads=*/4);
+    auto engine =
+        MakeEngine({oagp_->table, oagv_->table}, /*num_threads=*/4);
     auto cursor = engine->ExecuteStream(sql);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
 
@@ -322,7 +322,7 @@ TEST_F(CursorTest, CancelDuringScanAndProbeIsClean) {
       (*cursor)->Cancel();
     });
 
-    RowBatch batch((*cursor)->batch_size());
+    RowBatch batch(32);
     Status final_status;
     bool ended = false;
     while (true) {
@@ -364,7 +364,7 @@ TEST_F(CursorTest, CancelBeforeFirstBatchDeliversNothing) {
 // an (unreasonably) tight deadline surfaces kDeadlineExceeded from the
 // cursor — and through Execute, which is a cursor drain.
 TEST_F(CursorTest, DeadlineExceededSurfacesAtBatchBoundary) {
-  auto engine = MakeEngine({dsd_->table}, 0, 1, 1, /*deadline=*/1e-9);
+  auto engine = MakeEngine({dsd_->table}, 1, 1, /*deadline=*/1e-9);
   auto cursor = engine->ExecuteStream("SELECT * FROM dsd");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   RowBatch batch((*cursor)->batch_size());
@@ -423,7 +423,7 @@ TEST_F(CursorTest, CloseSemantics) {
 TEST_F(CursorTest, CancelThenCloseDuringResolutionReleasesSlotExactlyOnce) {
   const std::string dedup =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10";
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16);
+  auto engine = MakeEngine({dsd_->table});
 
   const EngineMetrics& metrics = GlobalEngineMetrics();
   const std::uint64_t cancelled_before = metrics.queries_cancelled->Value();
@@ -440,7 +440,7 @@ TEST_F(CursorTest, CancelThenCloseDuringResolutionReleasesSlotExactlyOnce) {
   // the delay holds it; the main thread cancels mid-flight.
   Status from_next;
   std::thread consumer([&] {
-    RowBatch batch((*cursor)->batch_size());
+    RowBatch batch(16);
     auto has = (*cursor)->Next(&batch);
     from_next = has.ok() ? Status::OK() : has.status();
   });
@@ -487,9 +487,8 @@ TEST_F(CursorTest, DeadlineMidResolutionPreemptsAndLeavesNoClaims) {
   // max_concurrent=2 lets the engine admit a second session beside this
   // one; every session resolves through the claim/publish transaction, so
   // the pre-emption exercises claim release either way.
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16,
-                           /*num_threads=*/1, /*max_concurrent=*/2,
-                           /*deadline=*/0.25);
+  auto engine = MakeEngine({dsd_->table}, /*num_threads=*/1,
+                           /*max_concurrent=*/2, /*deadline=*/0.25);
   ASSERT_TRUE(Failpoints::Global()
                   .Arm("er.comparison_chunk", "delay(400)")
                   .ok());
@@ -497,7 +496,7 @@ TEST_F(CursorTest, DeadlineMidResolutionPreemptsAndLeavesNoClaims) {
   // Through the cursor's Next.
   auto cursor = engine->ExecuteStream(dedup);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  RowBatch batch((*cursor)->batch_size());
+  RowBatch batch(16);
   auto has = (*cursor)->Next(&batch);
   ASSERT_FALSE(has.ok());
   EXPECT_TRUE(has.status().IsDeadlineExceeded()) << has.status().ToString();

@@ -1,12 +1,13 @@
 // The batch execution engine: RowBatch mechanics, batch predicate
 // evaluation, and the two determinism contracts of the vectorized pipeline
 // — query answers (and LinkIndex::num_links()) must be identical at every
-// batch size (batch_size == 1 degenerates to row-at-a-time execution, so
-// the sweep pins the batch path to the row path) and at every thread count
-// of the comparison execution.
+// consumer batch capacity (capacity 1 degenerates to row-at-a-time
+// execution, so the sweep pins the batch path to the row path) and at
+// every thread count of the comparison execution.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -104,28 +105,35 @@ TEST(FilterBatchTest, MatchesPerRowEvalBool) {
 struct RunOutcome {
   std::vector<std::vector<std::string>> rows;
   std::size_t num_links = 0;
-  ExecStats stats;
 };
 
 // Executes `sql` on a fresh engine (cold Link Index) over `tables`,
-// reporting the answer and, when `link_table` is non-empty, that table's
-// final link count.
+// draining its cursor in batches of `capacity` rows, and reports the
+// answer and, when `link_table` is non-empty, that table's final link
+// count.
 RunOutcome RunSql(const std::vector<TablePtr>& tables, const std::string& sql,
-               std::size_t batch_size, std::size_t num_threads,
-               const std::string& link_table = "") {
+                  std::size_t num_threads, const std::string& link_table = "",
+                  std::size_t capacity = kDefaultBatchSize) {
   EngineOptions options;
-  options.batch_size = batch_size;
   options.num_threads = num_threads;
   QueryEngine engine(options);
   for (const TablePtr& table : tables) {
     EXPECT_TRUE(engine.RegisterTable(table).ok());
   }
-  auto result = engine.Execute(sql);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
   RunOutcome outcome;
-  if (result.ok()) {
-    outcome.rows = std::move(result->rows);
-    outcome.stats = result->stats;
+  auto cursor = engine.ExecuteStream(sql);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (cursor.ok()) {
+    RowBatch batch(capacity);
+    while (true) {
+      auto has = (*cursor)->Next(&batch);
+      EXPECT_TRUE(has.ok()) << has.status().ToString();
+      if (!has.ok() || !*has) break;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        outcome.rows.push_back(batch.TakeValues(i));
+      }
+    }
+    (*cursor)->Close();
   }
   if (!link_table.empty()) {
     auto runtime = engine.GetRuntime(link_table);
@@ -135,7 +143,8 @@ RunOutcome RunSql(const std::vector<TablePtr>& tables, const std::string& sql,
   return outcome;
 }
 
-constexpr std::size_t kBatchSizes[] = {1, 7, 1024};
+// Consumer batch capacities; the first is the row-at-a-time reference.
+constexpr std::size_t kCapacities[] = {1, 7, 1024};
 
 class ExecBatchSweepTest : public ::testing::Test {
  protected:
@@ -183,7 +192,7 @@ datagen::GeneratedDataset* ExecBatchSweepTest::oagp_ = nullptr;
 datagen::GeneratedDataset* ExecBatchSweepTest::oagv_ = nullptr;
 
 // Plain relational queries (scan, fused filter, projection, hash join):
-// identical answers at every batch size.
+// identical answers at every consumer batch capacity.
 TEST_F(ExecBatchSweepTest, PlainQueriesIdenticalAcrossBatchSizes) {
   const std::vector<std::string> queries = {
       "SELECT * FROM dsd",
@@ -191,11 +200,11 @@ TEST_F(ExecBatchSweepTest, PlainQueriesIdenticalAcrossBatchSizes) {
       "SELECT title, year FROM dsd WHERE venue LIKE '%SIGMOD%'",
   };
   for (const std::string& sql : queries) {
-    RunOutcome reference = RunSql({dsd_->table}, sql, 1, 1);
-    for (std::size_t batch_size : kBatchSizes) {
-      if (batch_size == 1) continue;
-      RunOutcome outcome = RunSql({dsd_->table}, sql, batch_size, 1);
-      EXPECT_EQ(outcome.rows, reference.rows) << sql << " @" << batch_size;
+    RunOutcome reference = RunSql({dsd_->table}, sql, 1, "", 1);
+    for (std::size_t capacity : kCapacities) {
+      if (capacity == 1) continue;
+      RunOutcome outcome = RunSql({dsd_->table}, sql, 1, "", capacity);
+      EXPECT_EQ(outcome.rows, reference.rows) << sql << " @" << capacity;
     }
   }
 }
@@ -203,53 +212,52 @@ TEST_F(ExecBatchSweepTest, PlainQueriesIdenticalAcrossBatchSizes) {
 TEST_F(ExecBatchSweepTest, JoinIdenticalAcrossBatchSizes) {
   const std::string sql =
       "SELECT * FROM p INNER JOIN v ON p.venue = v.title";
-  RunOutcome reference = RunSql({pubs_->table, venues_->table}, sql, 1, 1);
+  RunOutcome reference =
+      RunSql({pubs_->table, venues_->table}, sql, 1, "", 1);
   EXPECT_FALSE(reference.rows.empty());
-  for (std::size_t batch_size : kBatchSizes) {
-    if (batch_size == 1) continue;
-    RunOutcome outcome = RunSql({pubs_->table, venues_->table}, sql, batch_size, 1);
-    EXPECT_EQ(outcome.rows, reference.rows) << "batch " << batch_size;
+  for (std::size_t capacity : kCapacities) {
+    if (capacity == 1) continue;
+    RunOutcome outcome =
+        RunSql({pubs_->table, venues_->table}, sql, 1, "", capacity);
+    EXPECT_EQ(outcome.rows, reference.rows) << "batch " << capacity;
   }
 }
 
 // The full DEDUP pipeline: identical answers AND identical link counts at
-// every batch size.
+// every consumer batch capacity.
 TEST_F(ExecBatchSweepTest, DedupIdenticalAcrossBatchSizes) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10";
-  RunOutcome reference = RunSql({dsd_->table}, sql, 1, 1, "dsd");
+  RunOutcome reference = RunSql({dsd_->table}, sql, 1, "dsd", 1);
   EXPECT_FALSE(reference.rows.empty());
   EXPECT_GT(reference.num_links, 0u);
-  for (std::size_t batch_size : kBatchSizes) {
-    if (batch_size == 1) continue;
-    RunOutcome outcome = RunSql({dsd_->table}, sql, batch_size, 1, "dsd");
-    EXPECT_EQ(outcome.rows, reference.rows) << "batch " << batch_size;
-    EXPECT_EQ(outcome.num_links, reference.num_links) << "batch " << batch_size;
+  for (std::size_t capacity : kCapacities) {
+    if (capacity == 1) continue;
+    RunOutcome outcome = RunSql({dsd_->table}, sql, 1, "dsd", capacity);
+    EXPECT_EQ(outcome.rows, reference.rows) << "batch " << capacity;
+    EXPECT_EQ(outcome.num_links, reference.num_links) << "batch " << capacity;
   }
 }
 
-// Scans: the num_threads x batch_size matrix returns the single-thread
-// answer bit for bit.
+// Scans: every thread count returns the single-thread answer bit for bit.
 TEST_F(ExecBatchSweepTest, ScanDeterminismMatrix) {
   const std::vector<std::string> queries = {
       "SELECT * FROM dsd WHERE MOD(id, 100) < 23",
       "SELECT id, title FROM dsd WHERE year >= 2000",
   };
   for (const std::string& sql : queries) {
-    RunOutcome reference = RunSql({dsd_->table}, sql, 1024, 1);
+    RunOutcome reference = RunSql({dsd_->table}, sql, 1);
     EXPECT_FALSE(reference.rows.empty());
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch_size : kBatchSizes) {
-        RunOutcome outcome = RunSql({dsd_->table}, sql, batch_size, num_threads);
-        EXPECT_EQ(outcome.rows, reference.rows)
-            << sql << " threads=" << num_threads << " batch=" << batch_size;
-      }
+      RunOutcome outcome = RunSql({dsd_->table}, sql, num_threads);
+      EXPECT_EQ(outcome.rows, reference.rows)
+          << sql << " threads=" << num_threads;
     }
   }
 }
 
-// The hash join: its answer is bit-identical to the single-thread run
-// across the whole num_threads x batch_size matrix.
+// The hash join: its answer is bit-identical to the single-thread run at
+// every thread count.
 TEST_F(ExecBatchSweepTest, JoinDeterminismMatrix) {
   const std::vector<std::string> queries = {
       "SELECT * FROM oagp INNER JOIN oagv ON oagp.venue = oagv.title",
@@ -258,36 +266,30 @@ TEST_F(ExecBatchSweepTest, JoinDeterminismMatrix) {
       "WHERE MOD(oagp.id, 100) < 50",
   };
   for (const std::string& sql : queries) {
-    RunOutcome reference = RunSql({oagp_->table, oagv_->table}, sql, 1024, 1);
+    RunOutcome reference = RunSql({oagp_->table, oagv_->table}, sql, 1);
     EXPECT_FALSE(reference.rows.empty());
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch_size : kBatchSizes) {
-        RunOutcome outcome =
-            RunSql({oagp_->table, oagv_->table}, sql, batch_size, num_threads);
-        EXPECT_EQ(outcome.rows, reference.rows)
-            << sql << " threads=" << num_threads << " batch=" << batch_size;
-      }
+      RunOutcome outcome =
+          RunSql({oagp_->table, oagv_->table}, sql, num_threads);
+      EXPECT_EQ(outcome.rows, reference.rows)
+          << sql << " threads=" << num_threads;
     }
   }
 }
 
 // Group-Entities over a parallel resolution: the grouping is bit-identical
-// to the single-thread run, for answers AND link counts, across the
-// num_threads x batch_size matrix.
+// to the single-thread run, for answers AND link counts, at every thread
+// count.
 TEST_F(ExecBatchSweepTest, GroupEntitiesDeterminismMatrix) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 50";
-  RunOutcome reference = RunSql({dsd_->table}, sql, 1024, 1, "dsd");
+  RunOutcome reference = RunSql({dsd_->table}, sql, 1, "dsd");
   EXPECT_FALSE(reference.rows.empty());
   for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-    for (std::size_t batch_size : kBatchSizes) {
-      RunOutcome outcome =
-          RunSql({dsd_->table}, sql, batch_size, num_threads, "dsd");
-      EXPECT_EQ(outcome.rows, reference.rows)
-          << "threads=" << num_threads << " batch=" << batch_size;
-      EXPECT_EQ(outcome.num_links, reference.num_links)
-          << "threads=" << num_threads << " batch=" << batch_size;
-    }
+    RunOutcome outcome = RunSql({dsd_->table}, sql, num_threads, "dsd");
+    EXPECT_EQ(outcome.rows, reference.rows) << "threads=" << num_threads;
+    EXPECT_EQ(outcome.num_links, reference.num_links)
+        << "threads=" << num_threads;
   }
 }
 
@@ -297,13 +299,82 @@ TEST_F(ExecBatchSweepTest, GroupEntitiesDeterminismMatrix) {
 TEST_F(ExecBatchSweepTest, ScanDedupDeterminism) {
   const std::string sql =
       "SELECT DEDUP title, venue FROM dsd WHERE MOD(id, 100) < 10";
-  RunOutcome reference = RunSql({dsd_->table}, sql, 1024, 1, "dsd");
+  RunOutcome reference = RunSql({dsd_->table}, sql, 1, "dsd");
   for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-    RunOutcome outcome = RunSql({dsd_->table}, sql, 1024, num_threads, "dsd");
+    RunOutcome outcome = RunSql({dsd_->table}, sql, num_threads, "dsd");
     EXPECT_EQ(outcome.rows, reference.rows) << "threads " << num_threads;
     EXPECT_EQ(outcome.num_links, reference.num_links)
         << "threads " << num_threads;
   }
+}
+
+// Every operator that buffers its input (Deduplicate, the hash join's build
+// side, GroupFilter, DedupJoin, GroupEntities) drains it in kDefaultBatchSize
+// batches; here each one's input spans two batches. Two duplicate-free
+// tables (every token occurs in one row only, so ER links nothing) make
+// each DEDUP answer the plain query's answer.
+TEST(BufferingOperatorTest, InputsOfSeveralBatchesAreDrainedWhole) {
+  constexpr std::size_t kRows = 2 * kDefaultBatchSize - 48;
+  TableBuilder a_builder("a", Schema({"id", "name", "k"}));
+  TableBuilder b_builder("b", Schema({"id", "title", "k"}));
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::string n = std::to_string(i);
+    ASSERT_TRUE(a_builder.AddRow({n, "alpha" + n, "key" + n}).ok());
+    // Reverse order, so the build side's buckets are not in probe order.
+    const std::string m = std::to_string(kRows - 1 - i);
+    ASSERT_TRUE(b_builder.AddRow({m, "beta" + m, "key" + m}).ok());
+  }
+  const TablePtr a = a_builder.Build();
+  const TablePtr b = b_builder.Build();
+
+  auto run = [&](ExecutionMode mode, const std::string& sql,
+                 const std::string& operator_label) {
+    EngineOptions options;
+    options.mode = mode;
+    QueryEngine engine(options);
+    EXPECT_TRUE(engine.RegisterTable(a).ok());
+    EXPECT_TRUE(engine.RegisterTable(b).ok());
+    auto plan = engine.Explain(sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (plan.ok()) {
+      EXPECT_NE(plan->find(operator_label), std::string::npos) << *plan;
+    }
+    auto result = engine.Execute(sql);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::vector<std::string>> rows;
+    if (result.ok()) rows = std::move(result->rows);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+
+  std::vector<std::vector<std::string>> selected;
+  std::vector<std::vector<std::string>> joined;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::string n = std::to_string(i);
+    if (i % 10 < 9) selected.push_back({"alpha" + n});
+    joined.push_back({"alpha" + n, "beta" + n});
+  }
+  std::sort(selected.begin(), selected.end());
+  std::sort(joined.begin(), joined.end());
+  ASSERT_GT(selected.size(), kDefaultBatchSize);
+
+  const std::string join_sql =
+      "SELECT a.name, b.title FROM a INNER JOIN b ON a.k = b.k";
+  // Build side: all of b.
+  EXPECT_EQ(run(ExecutionMode::kAdvanced, join_sql, "HashJoin("), joined);
+  // DedupJoin: all of a and all of b; GroupEntities: the join.
+  EXPECT_EQ(run(ExecutionMode::kAdvanced,
+                "SELECT DEDUP a.name, b.title FROM a INNER JOIN b ON a.k = "
+                "b.k",
+                "DedupJoin["),
+            joined);
+  const std::string select_sql =
+      "SELECT DEDUP name FROM a WHERE MOD(id, 10) < 9";
+  // Deduplicate and GroupEntities: the selection.
+  EXPECT_EQ(run(ExecutionMode::kAdvanced, select_sql, "Deduplicate("),
+            selected);
+  // GroupFilter: Deduplicate over all of a, the predicate applied above.
+  EXPECT_EQ(run(ExecutionMode::kNaive, select_sql, "GroupFilter("), selected);
 }
 
 }  // namespace

@@ -56,10 +56,9 @@ class ScopedFailpoint {
 };
 
 std::unique_ptr<QueryEngine> MakeEngine(
-    const std::vector<TablePtr>& tables, std::size_t batch_size = 0,
-    std::size_t num_threads = 1, std::size_t max_concurrent = 1) {
+    const std::vector<TablePtr>& tables, std::size_t num_threads = 1,
+    std::size_t max_concurrent = 1) {
   EngineOptions options;
-  if (batch_size != 0) options.batch_size = batch_size;
   options.num_threads = num_threads;
   options.max_concurrent_queries = max_concurrent;
   auto engine = std::make_unique<QueryEngine>(options);
@@ -301,8 +300,7 @@ Rows* FaultInjectionTest::reference_rows_ = nullptr;
 TEST_F(FaultInjectionTest, ChunkFailureAbandonsClaimsAndEngineRecovers) {
   for (std::size_t max_concurrent : {1, 2}) {
     SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
-    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                             /*num_threads=*/1, max_concurrent);
+    auto engine = MakeEngine({dsd_->table}, /*num_threads=*/1, max_concurrent);
     auto runtime = engine->GetRuntime("dsd");
     ASSERT_TRUE(runtime.ok());
     const std::size_t links_before = (*runtime)->link_index().num_links();
@@ -311,7 +309,7 @@ TEST_F(FaultInjectionTest, ChunkFailureAbandonsClaimsAndEngineRecovers) {
       ScopedFailpoint armed("er.comparison_chunk", "error");
       auto cursor = engine->ExecuteStream(kDedupQuery);
       ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-      RowBatch batch((*cursor)->batch_size());
+      RowBatch batch(32);
       auto has = (*cursor)->Next(&batch);
       ASSERT_FALSE(has.ok());
       EXPECT_NE(has.status().message().find("er.comparison_chunk"),
@@ -337,8 +335,7 @@ TEST_F(FaultInjectionTest, ChunkFailureAbandonsClaimsAndEngineRecovers) {
 TEST_F(FaultInjectionTest, PublishFailureLeavesLinkIndexUntouched) {
   for (std::size_t max_concurrent : {1, 2}) {
     SCOPED_TRACE("max_concurrent=" + std::to_string(max_concurrent));
-    auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                             /*num_threads=*/1, max_concurrent);
+    auto engine = MakeEngine({dsd_->table}, /*num_threads=*/1, max_concurrent);
     auto runtime = engine->GetRuntime("dsd");
     ASSERT_TRUE(runtime.ok());
     const std::size_t links_before = (*runtime)->link_index().num_links();
@@ -365,8 +362,8 @@ TEST_F(FaultInjectionTest, PublishFailureLeavesLinkIndexUntouched) {
 // immediately following session resolves the same entities to the clean
 // answer.
 TEST_F(FaultInjectionTest, ClaimFailureReleasesEntityClaims) {
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/32,
-                           /*num_threads=*/1, /*max_concurrent=*/2);
+  auto engine =
+      MakeEngine({dsd_->table}, /*num_threads=*/1, /*max_concurrent=*/2);
   {
     ScopedFailpoint armed("coordinator.claim_comparisons", "throw");
     auto failed = engine->Execute(kDedupQuery);
@@ -398,10 +395,10 @@ TEST_F(FaultInjectionTest, AdmissionFailureReleasesTheSlot) {
 // injected error on every subsequent Next, and the session released its
 // slot at the first one.
 TEST_F(FaultInjectionTest, CursorNextFailureIsStickyAndReleases) {
-  auto engine = MakeEngine({dsd_->table}, /*batch_size=*/16);
+  auto engine = MakeEngine({dsd_->table});
   auto cursor = engine->ExecuteStream("SELECT id FROM dsd");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-  RowBatch batch((*cursor)->batch_size());
+  RowBatch batch(16);
   Status final_status;
   int batches = 0;
   {
@@ -461,7 +458,6 @@ void RunChaosRound(unsigned seed, datagen::GeneratedDataset* dsd,
                    const Rows& reference_rows) {
   SCOPED_TRACE("chaos seed " + std::to_string(seed));
   EngineOptions options;
-  options.batch_size = 32;
   options.num_threads = 4;
   options.max_concurrent_queries = 3;
   auto engine = std::make_unique<QueryEngine>(options);
@@ -499,7 +495,7 @@ void RunChaosRound(unsigned seed, datagen::GeneratedDataset* dsd,
         std::mt19937 rng(seed * 1000 + t * 100 + i);
         auto cursor = engine->ExecuteStream(queries[(t + i) % 4]);
         if (!cursor.ok()) continue;  // Injected pre-open failure: fine.
-        RowBatch batch((*cursor)->batch_size());
+        RowBatch batch(32);  // Many batch boundaries to cancel or close at.
         const unsigned action = rng() % 3;
         const unsigned keep_batches = 1 + rng() % 8;
         unsigned drained = 0;

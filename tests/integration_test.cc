@@ -311,28 +311,23 @@ TEST(MultiJoinTest, ThreeTableDedupQueryRuns) {
                              ExecutionMode::kAdvanced}) {
     std::vector<std::vector<std::string>> reference;
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch_size :
-           {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
-        EngineOptions options = TestOptions();
-        options.num_threads = num_threads;
-        options.batch_size = batch_size;
-        QueryEngine engine(options);
-        for (const TablePtr& table : tables) {
-          ASSERT_TRUE(engine.RegisterTable(table).ok());
-        }
-        engine.set_mode(mode);
-        auto result = engine.Execute(sql);
-        ASSERT_TRUE(result.ok()) << ExecutionModeToString(mode) << ": "
-                                 << result.status().ToString();
-        if (reference.empty()) {
-          reference = result->rows;
-          EXPECT_EQ(Canonical(reference), expected_rows)
-              << ExecutionModeToString(mode);
-        } else {
-          EXPECT_EQ(result->rows, reference)
-              << ExecutionModeToString(mode) << " threads=" << num_threads
-              << " batch=" << batch_size;
-        }
+      EngineOptions options = TestOptions();
+      options.num_threads = num_threads;
+      QueryEngine engine(options);
+      for (const TablePtr& table : tables) {
+        ASSERT_TRUE(engine.RegisterTable(table).ok());
+      }
+      engine.set_mode(mode);
+      auto result = engine.Execute(sql);
+      ASSERT_TRUE(result.ok()) << ExecutionModeToString(mode) << ": "
+                               << result.status().ToString();
+      if (reference.empty()) {
+        reference = result->rows;
+        EXPECT_EQ(Canonical(reference), expected_rows)
+            << ExecutionModeToString(mode);
+      } else {
+        EXPECT_EQ(result->rows, reference)
+            << ExecutionModeToString(mode) << " threads=" << num_threads;
       }
     }
   }

@@ -2,9 +2,9 @@
 // exact under concurrent hammering (relaxed atomics lose no increments),
 // session traces must be well-formed Chrome trace-event JSON with the spans
 // the engine promises, EXPLAIN ANALYZE must report exactly the row counts
-// Execute materializes at every num_threads x batch_size point, and
-// tracing-off must record nothing at all (the zero-overhead contract,
-// asserted through TraceSink::TotalEventsRecorded).
+// Execute materializes at every thread count, and tracing-off must record
+// nothing at all (the zero-overhead contract, asserted through
+// TraceSink::TotalEventsRecorded).
 
 #include <gtest/gtest.h>
 
@@ -138,10 +138,9 @@ class JsonValidator {
 };
 
 std::unique_ptr<QueryEngine> MakeEngine(
-    const std::vector<TablePtr>& tables, std::size_t batch_size = 0,
-    std::size_t num_threads = 1, std::shared_ptr<TraceSink> trace = nullptr) {
+    const std::vector<TablePtr>& tables, std::size_t num_threads = 1,
+    std::shared_ptr<TraceSink> trace = nullptr) {
   EngineOptions options;
-  if (batch_size != 0) options.batch_size = batch_size;
   options.num_threads = num_threads;
   options.trace_sink = std::move(trace);
   auto engine = std::make_unique<QueryEngine>(options);
@@ -272,7 +271,7 @@ TEST(MetricsTest, HistogramQuantilesAreOrderedAndBounded) {
 // the promised spans: plan, open, ER stages, the operator tree, emit.
 TEST_F(ObsTest, TraceJsonIsWellFormedAndHasSessionSpans) {
   auto trace = std::make_shared<TraceSink>();
-  auto engine = MakeEngine({dsd_->table}, 0, 1, trace);
+  auto engine = MakeEngine({dsd_->table}, 1, trace);
   auto result =
       engine->Execute("SELECT DEDUP title, venue FROM dsd "
                       "WHERE MOD(id, 100) < 10");
@@ -291,8 +290,8 @@ TEST_F(ObsTest, TraceJsonIsWellFormedAndHasSessionSpans) {
 }
 
 // EXPLAIN ANALYZE executes the query: its root-operator row count must be
-// bit-identical to what Execute materializes, at every threads x batch_size
-// point, for scan/join/DEDUP plans alike.
+// bit-identical to what Execute materializes, at every thread count, for
+// scan/join/DEDUP plans alike.
 TEST_F(ObsTest, ExplainAnalyzeRowCountsMatchExecute) {
   struct Case {
     std::vector<TablePtr> tables;
@@ -307,22 +306,19 @@ TEST_F(ObsTest, ExplainAnalyzeRowCountsMatchExecute) {
   };
   for (const Case& c : cases) {
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch_size : {std::size_t{1}, std::size_t{1024}}) {
-        auto execute_engine = MakeEngine(c.tables, batch_size, num_threads);
-        auto result = execute_engine->Execute(c.sql);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
+      auto execute_engine = MakeEngine(c.tables, num_threads);
+      auto result = execute_engine->Execute(c.sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-        // A fresh engine for the analyze run, so a DEDUP query resolves
-        // from an equally cold Link Index.
-        auto analyze_engine = MakeEngine(c.tables, batch_size, num_threads);
-        auto annotated = analyze_engine->Explain("EXPLAIN ANALYZE " + c.sql);
-        ASSERT_TRUE(annotated.ok()) << annotated.status().ToString();
-        EXPECT_EQ(RootRows(*annotated), result->rows.size())
-            << c.sql << " threads=" << num_threads << " batch=" << batch_size
-            << "\n" << *annotated;
-        // The ER-stage breakdown rides along below the tree.
-        EXPECT_NE(annotated->find("breakdown["), std::string::npos);
-      }
+      // A fresh engine for the analyze run, so a DEDUP query resolves
+      // from an equally cold Link Index.
+      auto analyze_engine = MakeEngine(c.tables, num_threads);
+      auto annotated = analyze_engine->Explain("EXPLAIN ANALYZE " + c.sql);
+      ASSERT_TRUE(annotated.ok()) << annotated.status().ToString();
+      EXPECT_EQ(RootRows(*annotated), result->rows.size())
+          << c.sql << " threads=" << num_threads << "\n" << *annotated;
+      // The ER-stage breakdown rides along below the tree.
+      EXPECT_NE(annotated->find("breakdown["), std::string::npos);
     }
   }
 }
@@ -354,11 +350,11 @@ TEST_F(ObsTest, ExecuteExplainFormsReturnPlanRows) {
 // Cursor sessions keep their profile past Close, and the profile's counts
 // agree with what the client actually pulled.
 TEST_F(ObsTest, CursorProfileSurvivesCloseAndCountsRows) {
-  auto engine = MakeEngine({dsd_->table}, 128);
+  auto engine = MakeEngine({dsd_->table});
   auto cursor = engine->ExecuteStream("SELECT id, title FROM dsd");
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   std::size_t rows = 0;
-  RowBatch batch((*cursor)->batch_size());
+  RowBatch batch(128);
   while (true) {
     auto has = (*cursor)->Next(&batch);
     ASSERT_TRUE(has.ok());

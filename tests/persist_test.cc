@@ -546,18 +546,15 @@ TEST_F(WarmStartTest, SnapshotLoadedEngineMatchesCsvAcrossMatrix) {
       ASSERT_FALSE(reference.empty());
     }
     for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-      for (std::size_t batch_size : {std::size_t{1}, std::size_t{1024}}) {
-        EngineOptions options;
-        options.data_dir = data_dir;
-        options.num_threads = num_threads;
-        options.batch_size = batch_size;
-        QueryEngine warm(options);
-        ASSERT_TRUE(warm.RegisterTableFromSnapshots("dsd").ok());
-        auto result = warm.Execute(sql);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_EQ(result->rows, reference)
-            << sql << " threads=" << num_threads << " batch=" << batch_size;
-      }
+      EngineOptions options;
+      options.data_dir = data_dir;
+      options.num_threads = num_threads;
+      QueryEngine warm(options);
+      ASSERT_TRUE(warm.RegisterTableFromSnapshots("dsd").ok());
+      auto result = warm.Execute(sql);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->rows, reference)
+          << sql << " threads=" << num_threads;
     }
   }
 }

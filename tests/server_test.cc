@@ -200,9 +200,7 @@ TEST_F(ServerTest, ExecuteDedupMatchesInProcessAnswer) {
 // CANCEL maps onto QueryCursor::Cancel: the following NEXT reports
 // kCancelled as data and releases the cursor handle.
 TEST_F(ServerTest, CancelSurfacesOnNextAndReleasesCursor) {
-  EngineOptions engine_options;
-  engine_options.batch_size = 16;
-  TestServer ts = StartServer({dsd_->table}, engine_options);
+  TestServer ts = StartServer({dsd_->table});
   auto client = Client::Connect("127.0.0.1", ts.port(), "tenant-a");
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
@@ -210,15 +208,15 @@ TEST_F(ServerTest, CancelSurfacesOnNextAndReleasesCursor) {
   ASSERT_TRUE(open.ok()) << open.status().ToString();
   // Batch-aligned fetches so the next NEXT must pull a fresh batch (the
   // cancel flag is checked at batch boundaries, not in the carry buffer).
-  auto first = client->Next(open->cursor, 16);
+  auto first = client->Next(open->cursor, kDefaultBatchSize);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(client->Cancel(open->cursor).ok());
 
-  auto cancelled = client->Next(open->cursor, 16);
+  auto cancelled = client->Next(open->cursor, kDefaultBatchSize);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_TRUE(cancelled.status().IsCancelled())
       << cancelled.status().ToString();
-  auto gone = client->Next(open->cursor, 16);
+  auto gone = client->Next(open->cursor, kDefaultBatchSize);
   EXPECT_TRUE(gone.status().IsNotFound()) << gone.status().ToString();
 }
 
@@ -374,7 +372,6 @@ TEST_F(ServerTest, MidStreamDisconnectReleasesSlotAndClaims) {
 
   EngineOptions engine_options;
   engine_options.max_concurrent_queries = 1;
-  engine_options.batch_size = 16;
   TestServer ts = StartServer({dsd_->table}, engine_options);
 
   {
